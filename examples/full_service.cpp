@@ -134,8 +134,8 @@ int main() {
   for (const auto& s : pool_x.Stats()) {
     std::printf("  shard %zu: %zu queries, %zu classifiers, latency "
                 "p50/p99/max %.3f/%.3f/%.3f ms\n",
-                s.shard, s.processed, s.num_classifiers, s.p50_ms, s.p99_ms,
-                s.histogram.max);
+                s.shard, s.processed, s.num_classifiers, s.histogram.p50(),
+                s.histogram.p99(), s.histogram.max);
   }
   obs::HistogramSnapshot pooled = pool_x.MergedLatency();
   std::printf("  pooled: count=%llu p50=%.3f p99=%.3f max=%.3f ms\n",

@@ -1,14 +1,10 @@
 #include "obs/trace.h"
 
-#include <cstdio>
-
 #include "obs/flight_recorder.h"
 
 namespace querc::obs {
 
 namespace {
-
-thread_local Trace* g_current_trace = nullptr;
 
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -29,7 +25,6 @@ void Span::End() {
   double ms = MsSince(start_);
   hist_->Record(ms);
   if (stage_ != nullptr) {
-    if (g_current_trace != nullptr) g_current_trace->AddStage(stage_, ms);
     TraceContext ctx = CurrentContext();
     if (ctx.valid()) {
       FlightRecorder& rec = FlightRecorder::Global();
@@ -41,10 +36,7 @@ void Span::End() {
 }
 
 Trace::Trace(const char* name, Histogram* total_hist)
-    : name_(name),
-      total_hist_(total_hist),
-      parent_(g_current_trace),
-      start_(Clock::now()) {
+    : name_(name), total_hist_(total_hist), start_(Clock::now()) {
   // Join the context adopted from whoever fanned this work out (same
   // trace id, fresh span id), or own a new trace when there is none.
   TraceContext current = CurrentContext();
@@ -52,7 +44,6 @@ Trace::Trace(const char* name, Histogram* total_hist)
   ctx_.trace_id = owns_trace_ ? NewTraceId() : current.trace_id;
   ctx_.span_id = NewSpanId();
   prev_ctx_ = InstallContext(ctx_);
-  g_current_trace = this;
 }
 
 Trace::~Trace() {
@@ -63,22 +54,8 @@ Trace::~Trace() {
   rec.RecordSpan(ctx_, ts, dur, name_, owns_trace_);
   if (total_hist_ != nullptr) total_hist_->Record(ElapsedMs());
   InstallContext(prev_ctx_);
-  g_current_trace = parent_;
 }
-
-Trace* Trace::Current() { return g_current_trace; }
 
 double Trace::ElapsedMs() const { return MsSince(start_); }
-
-std::string Trace::Summary() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3fms", ElapsedMs());
-  std::string out = std::string(name_) + " " + buf;
-  for (const auto& [stage, ms] : stages_) {
-    std::snprintf(buf, sizeof(buf), " %s=%.3fms", stage, ms);
-    out += buf;
-  }
-  return out;
-}
 
 }  // namespace querc::obs

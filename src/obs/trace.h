@@ -2,10 +2,7 @@
 #define QUERC_OBS_TRACE_H_
 
 #include <chrono>
-#include <cstddef>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
@@ -18,66 +15,13 @@ namespace querc::obs {
 /// sites should cache the reference in a function-local static.
 Histogram& StageHistogram(const std::string& stage);
 
-class Trace;
-
-/// Stage timings with small-buffer storage: the first kInlineCapacity
-/// entries live inside the object, so a typical lex → normalize → embed →
-/// classify → sink trace records without touching the heap; deeper traces
-/// spill into a vector. Append-only; read via size()/operator[]/range-for.
-class StageList {
- public:
-  using value_type = std::pair<const char*, double>;
-  static constexpr size_t kInlineCapacity = 8;
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  const value_type& operator[](size_t i) const {
-    return i < kInlineCapacity ? inline_[i] : spill_[i - kInlineCapacity];
-  }
-
-  void push_back(const value_type& v) {
-    if (size_ < kInlineCapacity) {
-      inline_[size_] = v;
-    } else {
-      spill_.push_back(v);
-    }
-    ++size_;
-  }
-
-  class const_iterator {
-   public:
-    const_iterator(const StageList* list, size_t i) : list_(list), i_(i) {}
-    const value_type& operator*() const { return (*list_)[i_]; }
-    const value_type* operator->() const { return &(*list_)[i_]; }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
-    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
-
-   private:
-    const StageList* list_;
-    size_t i_;
-  };
-
-  const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, size_); }
-
- private:
-  size_t size_ = 0;
-  value_type inline_[kInlineCapacity] = {};
-  std::vector<value_type> spill_;
-};
-
 /// Scoped stage timer: records its elapsed milliseconds into `hist` when
 /// it ends (destruction or End()). When constructed with a stage name and
-/// a Trace is active on this thread, the (stage, ms) pair is also appended
-/// to that trace's per-query breakdown and a span event carrying the
-/// thread's TraceContext is written to the flight recorder. `stage` must
-/// outlive the trace — pass a string literal. The record path touches only
-/// the histogram's atomics and this thread's journal ring: no mutex.
+/// this thread carries a TraceContext, a span event with that context is
+/// also written to the flight recorder — the journal is the per-query
+/// stage breakdown, across threads. `stage` must outlive the span — pass
+/// a string literal. The record path touches only the histogram's atomics
+/// and this thread's journal ring: no mutex.
 class Span {
  public:
   explicit Span(Histogram* hist, const char* stage = nullptr)
@@ -103,13 +47,11 @@ class Span {
 };
 
 /// Per-request trace: marks this thread as "inside request `name`" for its
-/// scope, collects the stage spans recorded on the way (lex → normalize →
-/// embed → classify → sink), and optionally records the total duration
-/// into `total_hist`. Traces nest (the previous trace is restored on
-/// destruction); the stage breakdown is confined to the thread that
-/// created it.
+/// scope, so the stage spans recorded on the way (lex → normalize → embed
+/// → classify → sink) are journaled under its trace id, and optionally
+/// records the total duration into `total_hist`.
 ///
-/// Each Trace also manages this thread's TraceContext: if a context is
+/// Each Trace manages this thread's TraceContext: if a context is
 /// already installed (e.g. adopted from the thread that fanned this work
 /// out), the trace *joins* it — same trace id, fresh span id; otherwise it
 /// *owns* a new trace id. On destruction it writes its span to the flight
@@ -123,10 +65,6 @@ class Trace {
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;
 
-  /// The innermost live trace on this thread, or nullptr.
-  static Trace* Current();
-
-  const char* name() const { return name_; }
   double ElapsedMs() const;
 
   /// The flight-recorder identity of this trace (always valid).
@@ -135,25 +73,14 @@ class Trace {
   /// context) — its closing span is the root span.
   bool owns_trace() const { return owns_trace_; }
 
-  /// Stage timings recorded so far, in completion order.
-  const StageList& stages() const { return stages_; }
-  void AddStage(const char* stage, double ms) {
-    stages_.push_back({stage, ms});
-  }
-
-  /// One-line rendering: "name total_ms stage=ms stage=ms ...".
-  std::string Summary() const;
-
  private:
   using Clock = std::chrono::steady_clock;
   const char* name_;
   Histogram* total_hist_;
-  Trace* parent_;
   TraceContext ctx_;
   TraceContext prev_ctx_;
   bool owns_trace_;
   Clock::time_point start_;
-  StageList stages_;
 };
 
 }  // namespace querc::obs

@@ -101,7 +101,8 @@ util::ConcurrentAggregator::Options LintAggregatorOptions(size_t cap) {
 obs::Counter& WorkerErrorsCounter() {
   static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
       "querc_worker_errors_total", {},
-      "Queries whose Process call failed outright inside a batch");
+      "Queries whose Process call failed outright inside a batch or a "
+      "pool fan-out");
   return counter;
 }
 
@@ -170,14 +171,6 @@ void LintTemplateStats::Merge(const LintTemplateStats& other) {
   if (example_text.empty()) example_text = other.example_text;
 }
 
-void LatencyStats::Merge(const LatencyStats& other) {
-  if (other.count == 0) return;
-  min_ms = count == 0 ? other.min_ms : std::min(min_ms, other.min_ms);
-  max_ms = count == 0 ? other.max_ms : std::max(max_ms, other.max_ms);
-  count += other.count;
-  total_ms += other.total_ms;
-}
-
 QWorker::QWorker(const Options& options)
     : options_(options),
       sink_retry_(options.sink_retry),
@@ -186,20 +179,19 @@ QWorker::QWorker(const Options& options)
   classifiers_.store(std::make_shared<const ClassifierMap>());
   fallbacks_.store(std::make_shared<const ClassifierMap>());
   task_breakers_.store(std::make_shared<const BreakerMap>());
-  if (options_.enable_breakers) {
+  if (options_.enable_breakers && options_.per_tenant_sink_breakers) {
+    TenantBreakerMap::Options tenant;
+    tenant.breaker = options_.breaker;
+    tenant.capacity = options_.tenant_breaker_cap;
+    tenant.name_prefix = options_.application + ":sink_database";
+    database_tenant_breakers_ = std::make_unique<TenantBreakerMap>(tenant);
+    tenant.name_prefix = options_.application + ":sink_training";
+    training_tenant_breakers_ = std::make_unique<TenantBreakerMap>(tenant);
+  } else if (options_.enable_breakers) {
     database_breaker_ = std::make_unique<CircuitBreaker>(
         options_.application + ":sink_database", options_.breaker);
     training_breaker_ = std::make_unique<CircuitBreaker>(
         options_.application + ":sink_training", options_.breaker);
-    if (options_.per_tenant_sink_breakers) {
-      TenantBreakerMap::Options tenant;
-      tenant.breaker = options_.breaker;
-      tenant.capacity = options_.tenant_breaker_cap;
-      tenant.name_prefix = options_.application + ":sink_database";
-      database_tenant_breakers_ = std::make_unique<TenantBreakerMap>(tenant);
-      tenant.name_prefix = options_.application + ":sink_training";
-      training_tenant_breakers_ = std::make_unique<TenantBreakerMap>(tenant);
-    }
   }
   if (options_.embed_cache_capacity > 0) {
     embed::EmbeddingCache::Options cache_options;
@@ -314,16 +306,6 @@ size_t QWorker::num_classifiers() const {
 std::deque<workload::LabeledQuery> QWorker::window() const {
   util::MutexLock lock(&window_mu_);
   return window_;
-}
-
-LatencyStats QWorker::latency() const {
-  obs::HistogramSnapshot snap = latency_hist_.Snapshot();
-  LatencyStats stats;
-  stats.count = snap.count;
-  if (snap.count > 0) stats.min_ms = snap.min;
-  stats.max_ms = snap.max;
-  stats.total_ms = snap.sum;
-  return stats;
 }
 
 std::vector<std::pair<std::string, CircuitBreaker::State>>
@@ -478,11 +460,8 @@ ProcessedQuery QWorker::Process(const workload::LabeledQuery& query) {
     if (auto it = breakers->find(task); it != breakers->end()) {
       breaker = it->second.get();
     }
-    bool attempted = false;
-    util::Status status;
     if (breaker == nullptr || breaker->Allow()) {
-      attempted = true;
-      status = util::MaybeFail("qworker.classifier_predict");
+      util::Status status = util::MaybeFail("qworker.classifier_predict");
       std::string prediction;
       if (status.ok()) {
         try {
@@ -506,7 +485,6 @@ ProcessedQuery QWorker::Process(const workload::LabeledQuery& query) {
       obs::FlightRecorder::Global().RecordInstant(obs::EventKind::kError,
                                                   task.c_str());
     }
-    (void)attempted;
     // Degradation ladder: primary unavailable or failed — try the
     // deployed fallback, else skip the task with a counter.
     if (auto fit = fallbacks->find(task); fit != fallbacks->end()) {
@@ -647,31 +625,28 @@ std::vector<LintTemplateStats> QWorker::TopOffendingTemplates(
   return templates;
 }
 
+ProcessedQuery QWorker::ProcessGuarded(const workload::LabeledQuery& query) {
+  auto failed = [&query](std::string message) {
+    WorkerErrorsCounter().Increment();
+    ProcessedQuery out;
+    out.query = query;
+    out.status = util::Status::Internal(std::move(message));
+    return out;
+  };
+  try {
+    return Process(query);
+  } catch (const std::exception& e) {
+    return failed(std::string("Process: ") + e.what());
+  } catch (...) {
+    return failed("Process threw");
+  }
+}
+
 std::vector<ProcessedQuery> QWorker::ProcessBatch(
     const workload::Workload& batch) {
   std::vector<ProcessedQuery> out;
   out.reserve(batch.size());
-  for (const auto& q : batch) {
-    // A poisoned query must not lose the batch: Process itself converts
-    // sink/classifier faults to statuses, and anything that still
-    // escapes is caught here so the remaining queries proceed.
-    try {
-      out.push_back(Process(q));
-    } catch (const std::exception& e) {
-      ProcessedQuery failed;
-      failed.query = q;
-      failed.status = util::Status::Internal(std::string("Process: ") +
-                                             e.what());
-      WorkerErrorsCounter().Increment();
-      out.push_back(std::move(failed));
-    } catch (...) {
-      ProcessedQuery failed;
-      failed.query = q;
-      failed.status = util::Status::Internal("Process threw");
-      WorkerErrorsCounter().Increment();
-      out.push_back(std::move(failed));
-    }
-  }
+  for (const auto& q : batch) out.push_back(ProcessGuarded(q));
   return out;
 }
 

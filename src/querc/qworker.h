@@ -4,7 +4,6 @@
 #include <atomic>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -83,31 +82,6 @@ struct LintTemplateStats {
   void Merge(const LintTemplateStats& other);
 };
 
-/// Per-worker latency accounting for the throughput bench and the pool's
-/// per-shard stats. Times cover the full Process() call (predict + window
-/// + sinks), in wall-clock milliseconds. Since the obs subsystem landed
-/// this is a thin view over the worker's latency histogram (see
-/// QWorker::latency_snapshot() for percentiles); it is kept so existing
-/// callers migrate incrementally.
-struct LatencyStats {
-  size_t count = 0;
-  /// Idles at +inf until the first sample so an empty or merged view can
-  /// never report a fake 0 ms minimum; display through min().
-  double min_ms = std::numeric_limits<double>::infinity();
-  double max_ms = 0.0;
-  double total_ms = 0.0;
-
-  double mean_ms() const {
-    return count == 0 ? 0.0 : total_ms / static_cast<double>(count);
-  }
-  /// Display-safe minimum: 0.0 while empty (count == 0 guard).
-  double min() const { return count == 0 ? 0.0 : min_ms; }
-
-  /// Pointwise merge; an empty side contributes nothing (in particular
-  /// not its sentinel min).
-  void Merge(const LatencyStats& other);
-};
-
 /// The per-application stream worker of Figure 1: runs every deployed
 /// classifier over each arriving query, forwards the query downstream (to
 /// the database — here a callback), and tees labeled queries to the
@@ -184,11 +158,11 @@ class QWorker {
     /// classifiers always run; retries/deadline still apply).
     bool enable_breakers = true;
     /// Scope the SINK breakers per account: breaker keys gain the
-    /// account dimension ("<application>:sink_database:<account>"), so
-    /// one tenant's failing sink trips only that tenant's breaker while
-    /// every other tenant keeps flowing. Task breakers stay per task —
-    /// a classifier fault is model health, not tenant behavior. Requires
-    /// enable_breakers.
+    /// account dimension ("<application>:sink_database:<account>") and
+    /// replace the worker-level sink breakers, so one tenant's failing
+    /// sink trips only that tenant's breaker while every other tenant
+    /// keeps flowing. Task breakers stay per task — a classifier fault
+    /// is model health, not tenant behavior. Requires enable_breakers.
     bool per_tenant_sink_breakers = false;
     /// Bound on resident per-tenant sink breakers per sink (evict-least,
     /// closed-first; see TenantBreakerMap).
@@ -239,9 +213,15 @@ class QWorker {
   /// the returned ProcessedQuery and in counters.
   ProcessedQuery Process(const workload::LabeledQuery& query);
 
-  /// Processes a batch ("query(X, t)" in the paper's notation). One
-  /// poisoned query cannot lose the batch: residual exceptions are caught
-  /// per query (status = Internal) and the rest of the batch proceeds.
+  /// Process behind the per-query error guard: an exception that still
+  /// escapes Process becomes status = Internal on the returned query
+  /// (querc_worker_errors_total). Batch loops — ProcessBatch and the
+  /// pool's shard fan-out — run every query through it, so one poisoned
+  /// query cannot lose the rest.
+  ProcessedQuery ProcessGuarded(const workload::LabeledQuery& query);
+
+  /// Processes a batch ("query(X, t)" in the paper's notation), each
+  /// query through ProcessGuarded.
   std::vector<ProcessedQuery> ProcessBatch(const workload::Workload& batch);
 
   /// A snapshot copy of the bounded window of most recent queries seen.
@@ -258,13 +238,10 @@ class QWorker {
   size_t processed_count() const {
     return processed_count_.load(std::memory_order_relaxed);
   }
-  /// Latency accounting since construction (min/mean/max per Process) —
-  /// a compatibility view over latency_snapshot().
-  LatencyStats latency() const;
-
-  /// Full latency histogram snapshot (count, sum, min/max, p50/p90/p99)
-  /// since construction. Lock-free to read; the record side is atomic
-  /// bucket increments on the Process hot path.
+  /// Process latency since construction: count, sum, min/max, mean and
+  /// p50/p90/p99 in milliseconds (min and max read 0 while empty).
+  /// Lock-free to read; the record side is atomic bucket increments on
+  /// the Process hot path.
   obs::HistogramSnapshot latency_snapshot() const {
     return latency_hist_.Snapshot();
   }
@@ -334,12 +311,12 @@ class QWorker {
   /// querc_qworker_process_ms so exporters see the service-wide view.
   obs::Histogram latency_hist_;
 
-  /// Sink breakers (one per sink, named "<application>:sink_*").
-  std::unique_ptr<CircuitBreaker> database_breaker_;  // null when disabled
+  /// Sink breakers (one per sink, named "<application>:sink_*"); null
+  /// when breakers are disabled or scoped per tenant.
+  std::unique_ptr<CircuitBreaker> database_breaker_;
   std::unique_ptr<CircuitBreaker> training_breaker_;
   /// Per-tenant sink breakers (null unless per_tenant_sink_breakers):
-  /// bounded account->breaker maps that REPLACE the worker-level sink
-  /// breakers on the Process path when active.
+  /// bounded account->breaker maps built instead of the two above.
   std::unique_ptr<TenantBreakerMap> database_tenant_breakers_;
   std::unique_ptr<TenantBreakerMap> training_tenant_breakers_;
   RetryPolicy sink_retry_;

@@ -55,8 +55,8 @@ obs::Gauge& InFlightGauge() {
 obs::Counter& FanOutErrorsCounter() {
   static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
       "querc_pool_fan_out_errors_total", {},
-      "Shard fan-out tasks that failed (injected or thrown); their "
-      "queries carry the error status");
+      "Shard fan-out tasks that failed as a whole (pool.fan_out "
+      "failpoint); their queries carry the error status");
   return counter;
 }
 
@@ -349,25 +349,12 @@ std::vector<ProcessedQuery> QWorkerPool::ProcessBatch(
     obs::Span fan_span(&fan_hist, "pool_fan_out");
     size_t s = live[t];
     QWorker& shard = *shards_[s];
-    // A shard task that dies (injected fault or escaped exception) must
-    // not lose its queries: every index gets a status, and the other
-    // shards' tasks are unaffected.
+    // Neither a failed shard task nor a poisoned query may lose queries:
+    // every index gets a status (the task's, or the per-query guard's),
+    // and the other shards' tasks are unaffected.
     util::Status task_status = util::MaybeFail("pool.fan_out");
     if (task_status.ok()) {
-      for (size_t i : by_shard[s]) {
-        try {
-          out[i] = shard.Process(batch[i]);
-        } catch (const std::exception& e) {
-          out[i].query = batch[i];
-          out[i].status = util::Status::Internal(
-              std::string("shard fan-out: ") + e.what());
-          FanOutErrorsCounter().Increment();
-        } catch (...) {
-          out[i].query = batch[i];
-          out[i].status = util::Status::Internal("shard fan-out threw");
-          FanOutErrorsCounter().Increment();
-        }
-      }
+      for (size_t i : by_shard[s]) out[i] = shard.ProcessGuarded(batch[i]);
     } else {
       FanOutErrorsCounter().Increment();
       for (size_t i : by_shard[s]) {
@@ -406,15 +393,6 @@ std::vector<ShardStats> QWorkerPool::Stats(size_t lint_top_n) const {
     one.processed = shards_[s]->processed_count();
     one.num_classifiers = shards_[s]->num_classifiers();
     one.histogram = shards_[s]->latency_snapshot();
-    one.latency.count = one.histogram.count;
-    // An empty histogram snapshot reports min = 0; leave the stats
-    // sentinel (+inf) in place so merges can't absorb a fake 0 minimum.
-    if (one.histogram.count > 0) one.latency.min_ms = one.histogram.min;
-    one.latency.max_ms = one.histogram.max;
-    one.latency.total_ms = one.histogram.sum;
-    one.p50_ms = one.histogram.p50();
-    one.p90_ms = one.histogram.p90();
-    one.p99_ms = one.histogram.p99();
     one.lint_diagnostics = shards_[s]->lint_diagnostic_count();
     one.lint_templates_dropped = shards_[s]->lint_templates_dropped();
     one.top_offending_templates = shards_[s]->TopOffendingTemplates(lint_top_n);

@@ -13,18 +13,14 @@
 
 namespace querc::core {
 
-/// Per-shard statistics snapshot exposed for benchmarks and ops. The
-/// `latency` min/mean/max view is derived from `histogram`, which also
-/// carries tail percentiles (p50/p90/p99 via HistogramSnapshot).
+/// Per-shard statistics snapshot exposed for benchmarks and ops.
 struct ShardStats {
   size_t shard = 0;
   size_t processed = 0;
   size_t num_classifiers = 0;
-  LatencyStats latency;
+  /// The shard's Process latency in ms: min/max, mean() and
+  /// p50()/p90()/p99(). Merge() folds shards into a pooled view.
   obs::HistogramSnapshot histogram;
-  double p50_ms = 0.0;
-  double p90_ms = 0.0;
-  double p99_ms = 0.0;
   /// Lint diagnostics emitted by this shard's lint stage.
   size_t lint_diagnostics = 0;
   /// Offending templates displaced from this shard's bounded tracker
@@ -149,9 +145,9 @@ class QWorkerPool {
   /// Total queries processed across shards.
   size_t processed_count() const;
 
-  /// Per-shard stats snapshot (processed count, min/mean/max latency,
-  /// p50/p90/p99 from the shard's latency histogram, lint counts and the
-  /// shard's `lint_top_n` worst templates).
+  /// Per-shard stats snapshot (processed count, the shard's latency
+  /// histogram, lint counts and the shard's `lint_top_n` worst
+  /// templates).
   std::vector<ShardStats> Stats(size_t lint_top_n = 3) const;
 
   /// Service-wide worst templates by lint diagnostics: per-shard

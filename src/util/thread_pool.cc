@@ -18,32 +18,11 @@ namespace {
 
 size_t LaneIndex(Lane lane) { return static_cast<size_t>(lane); }
 
-/// Shared by every pool in the process. Each family exists both unlabeled
-/// (pool-wide, the pre-lane series scrapers already watch) and per lane
-/// ({lane="interactive"|"normal"|"batch"}). All lookups are function-local
-/// statics so the hot path never touches the registry mutex; resolving
-/// them while holding a pool's mu_ is rank-legal (kThreadPool <
-/// kMetricsRegistry).
-obs::Gauge& QueueDepthGauge() {
-  static obs::Gauge& gauge = obs::MetricsRegistry::Global().GetGauge(
-      "querc_threadpool_queue_depth", {},
-      "Tasks submitted to ThreadPools but not yet running");
-  return gauge;
-}
-
-obs::Histogram& TaskHistogram() {
-  static obs::Histogram& hist = obs::MetricsRegistry::Global().GetHistogram(
-      "querc_threadpool_task_ms", {},
-      "Execution time of ThreadPool task bodies in milliseconds");
-  return hist;
-}
-
-obs::Counter& TaskCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
-      "querc_threadpool_tasks_total", {}, "Tasks executed by ThreadPools");
-  return counter;
-}
-
+/// Shared by every pool in the process, one series per lane
+/// ({lane="interactive"|"normal"|"batch"}); a pool-wide figure is the sum
+/// over lanes. All lookups are function-local statics so the hot path
+/// never touches the registry mutex; resolving them while holding a
+/// pool's mu_ is rank-legal (kThreadPool < kMetricsRegistry).
 obs::Gauge& LaneDepthGauge(Lane lane) {
   static const std::array<obs::Gauge*, kNumLanes> gauges = [] {
     std::array<obs::Gauge*, kNumLanes> out{};
@@ -108,8 +87,8 @@ obs::Counter& EscalationCounter() {
 }
 
 /// Runs a task body with the same accounting a pool worker applies:
-/// timing into the unlabeled + per-lane histograms, counters, and the
-/// worker's catch-and-log contract for escaping exceptions.
+/// timing into the lane's histogram and counter, and the worker's
+/// catch-and-log contract for escaping exceptions.
 void RunTaskBody(const std::function<void()>& fn, Lane lane) {
   auto start = std::chrono::steady_clock::now();
   try {
@@ -123,9 +102,7 @@ void RunTaskBody(const std::function<void()>& fn, Lane lane) {
   double ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - start)
                   .count();
-  TaskHistogram().Record(ms);
   LaneTaskHistogram(lane).Record(ms);
-  TaskCounter().Increment();
   LaneTaskCounter(lane).Increment();
 }
 
@@ -270,7 +247,6 @@ void ThreadPool::PushTaskLocked(QueuedTask task) {
   if (task.deadline_us != kNoDeadline) ++deadlined_;
   // Gauges move in the same critical section as the queue itself, so a
   // concurrent scrape can never see the depth negative or overshot.
-  QueueDepthGauge().Add(1.0);
   LaneDepthGauge(task.lane).Add(1.0);
   queues_[LaneIndex(task.lane)].push_back(std::move(task));
   ++queued_total_;
@@ -278,7 +254,6 @@ void ThreadPool::PushTaskLocked(QueuedTask task) {
 
 void ThreadPool::PopAccountingLocked(const QueuedTask& task) {
   if (task.deadline_us != kNoDeadline) --deadlined_;
-  QueueDepthGauge().Add(-1.0);
   LaneDepthGauge(task.lane).Add(-1.0);
   --queued_total_;
 }

@@ -43,11 +43,11 @@ namespace querc::util {
 ///     backpressure — never dropped, never unbounded) and counts it in
 ///     querc_threadpool_lane_overflow_total{lane=}.
 ///
-/// Telemetry: querc_threadpool_queue_depth / _task_ms / _tasks_total each
-/// exist unlabeled (pool-wide, back-compat) and per lane ({lane=...});
-/// gauge updates happen under the queue mutex, in the same critical
-/// section as the queue mutation, so a concurrent scrape can never
-/// observe a negative or overshot depth.
+/// Telemetry: querc_threadpool_queue_depth / _task_ms / _tasks_total, one
+/// series per lane ({lane=...}); the pool-wide figure is the sum over
+/// lanes. Gauge updates happen under the queue mutex, in the same
+/// critical section as the queue mutation, so a concurrent scrape can
+/// never observe a negative or overshot depth.
 ///
 /// Concurrency contract (unchanged from the FIFO pool):
 ///   - `Submit` tasks must not throw; an escaping exception is caught and

@@ -157,12 +157,14 @@ TEST(HistogramSnapshot, MergeEmptySidesNeverPoisonMinMax) {
   adopted.Merge(recorded.Snapshot());
   EXPECT_DOUBLE_EQ(adopted.min, 5.0);
   EXPECT_DOUBLE_EQ(adopted.max, 9.0);
+  EXPECT_DOUBLE_EQ(adopted.mean(), 7.0);
 
   // A fold over only-empty shards stays empty (and percentiles stay 0).
   HistogramSnapshot all_idle;
   for (int i = 0; i < 3; ++i) all_idle.Merge(HistogramSnapshot{});
   EXPECT_EQ(all_idle.count, 0u);
   EXPECT_DOUBLE_EQ(all_idle.min, 0.0);
+  EXPECT_DOUBLE_EQ(all_idle.mean(), 0.0);
   EXPECT_DOUBLE_EQ(all_idle.p99(), 0.0);
 
   // ...and folding real samples in afterwards still works.

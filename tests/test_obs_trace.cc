@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/stats_reporter.h"
 
@@ -47,45 +48,60 @@ TEST(Span, MoveTransfersOwnership) {
 }
 
 TEST(Trace, CurrentNestsAndRestores) {
-  EXPECT_EQ(Trace::Current(), nullptr);
+  // A trace under an adopted context joins it and, on exit, reinstalls
+  // exactly the context it displaced (same trace and span id).
+  TraceContext adopted{NewTraceId(), NewSpanId()};
+  ScopedTraceContext adopt(adopted);
   {
     Trace outer("outer");
-    EXPECT_EQ(Trace::Current(), &outer);
+    EXPECT_EQ(CurrentContext().span_id, outer.context().span_id);
     {
       Trace inner("inner");
-      EXPECT_EQ(Trace::Current(), &inner);
-      EXPECT_STREQ(Trace::Current()->name(), "inner");
+      EXPECT_EQ(CurrentContext().span_id, inner.context().span_id);
+      EXPECT_EQ(inner.context().trace_id, adopted.trace_id);
     }
-    EXPECT_EQ(Trace::Current(), &outer);
+    EXPECT_EQ(CurrentContext().span_id, outer.context().span_id);
   }
-  EXPECT_EQ(Trace::Current(), nullptr);
+  EXPECT_EQ(CurrentContext().trace_id, adopted.trace_id);
+  EXPECT_EQ(CurrentContext().span_id, adopted.span_id);
 }
 
 TEST(Trace, IsConfinedToItsThread) {
   Trace trace("main-thread");
-  std::atomic<Trace*> seen{&trace};
-  std::thread other([&seen] { seen.store(Trace::Current()); });
+  std::atomic<uint64_t> seen{1};
+  std::thread other([&seen] { seen.store(CurrentContext().trace_id); });
   other.join();
-  EXPECT_EQ(seen.load(), nullptr);
+  EXPECT_EQ(seen.load(), 0u);
+  EXPECT_EQ(CurrentContext().trace_id, trace.context().trace_id);
 }
 
 TEST(Trace, CollectsStageBreakdownFromSpans) {
+  // The per-query breakdown lives in the flight recorder: each named span
+  // under a trace is journaled with the trace's ids, in completion order,
+  // followed by the trace's own root span.
+  std::vector<FlightEvent> events;
+  FlightRecorder::Global().Drain(&events);
+  events.clear();
   Histogram lex_hist;
   Histogram embed_hist;
-  Trace trace("process");
+  TraceContext ctx;
   {
-    Span span(&lex_hist, "lex");
+    Trace trace("process");
+    ctx = trace.context();
+    { Span span(&lex_hist, "lex"); }
+    { Span span(&embed_hist, "embed"); }
   }
-  {
-    Span span(&embed_hist, "embed");
+  FlightRecorder::Global().Drain(&events);
+  std::vector<std::string> labels;
+  for (const FlightEvent& ev : events) {
+    if (ev.trace_id != ctx.trace_id) continue;
+    EXPECT_EQ(ev.event_kind(), EventKind::kSpan);
+    EXPECT_EQ(ev.span_id, ctx.span_id);
+    labels.emplace_back(ev.label);
   }
-  ASSERT_EQ(trace.stages().size(), 2u);
-  EXPECT_STREQ(trace.stages()[0].first, "lex");
-  EXPECT_STREQ(trace.stages()[1].first, "embed");
-  std::string summary = trace.Summary();
-  EXPECT_NE(summary.find("process"), std::string::npos);
-  EXPECT_NE(summary.find("lex="), std::string::npos);
-  EXPECT_NE(summary.find("embed="), std::string::npos);
+  EXPECT_EQ(labels, (std::vector<std::string>{"lex", "embed", "process"}));
+  EXPECT_EQ(lex_hist.Snapshot().count, 1u);
+  EXPECT_EQ(embed_hist.Snapshot().count, 1u);
 }
 
 TEST(Trace, RecordsTotalIntoHistogram) {

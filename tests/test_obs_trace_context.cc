@@ -139,42 +139,5 @@ TEST(TraceJoinTest, NestedTraceJoinsAmbientTraceId) {
   EXPECT_FALSE(CurrentContext().valid());
 }
 
-// ---------------------------------------------------------------------------
-// StageList: inline up to kInlineCapacity, spills beyond without losing
-// order (satellite of the flight-recorder PR: stage tracking must not
-// heap-allocate on the common path).
-// ---------------------------------------------------------------------------
-
-TEST(StageListTest, InlineThenSpillPreservesOrder) {
-  StageList stages;
-  EXPECT_TRUE(stages.empty());
-  static const char* kNames[] = {"s0", "s1", "s2", "s3", "s4", "s5",
-                                 "s6", "s7", "s8", "s9", "s10", "s11"};
-  for (size_t i = 0; i < 12; ++i) {
-    stages.push_back({kNames[i], static_cast<double>(i)});
-  }
-  ASSERT_EQ(stages.size(), 12u);
-  ASSERT_GT(size_t{12}, StageList::kInlineCapacity)
-      << "test must exercise the spill path";
-  for (size_t i = 0; i < 12; ++i) {
-    EXPECT_STREQ(stages[i].first, kNames[i]);
-    EXPECT_EQ(stages[i].second, static_cast<double>(i));
-  }
-  size_t i = 0;
-  for (const auto& [name, ms] : stages) {
-    EXPECT_STREQ(name, kNames[i]);
-    EXPECT_EQ(ms, static_cast<double>(i));
-    ++i;
-  }
-  EXPECT_EQ(i, 12u);
-}
-
-TEST(StageListTest, TraceStagesStayInline) {
-  Trace trace("inline_check");
-  for (int i = 0; i < 3; ++i) trace.AddStage("stage", 1.0);
-  EXPECT_EQ(trace.stages().size(), 3u);
-  EXPECT_STREQ(trace.stages()[0].first, "stage");
-}
-
 }  // namespace
 }  // namespace querc::obs

@@ -392,62 +392,26 @@ TEST_F(QWorkerFaultTest, DisabledBreakersStillConvertExceptions) {
 }
 
 // ---------------------------------------------------------------------------
-// LatencyStats (min_ms regression)
+// Latency snapshot (idle-worker min regression)
 // ---------------------------------------------------------------------------
 
-TEST(LatencyStatsTest, EmptyStatsReportZeroMinNotGarbage) {
-  LatencyStats stats;
-  EXPECT_EQ(stats.count, 0u);
-  EXPECT_DOUBLE_EQ(stats.min(), 0.0);  // display-safe accessor
-  EXPECT_TRUE(std::isinf(stats.min_ms));
-  EXPECT_DOUBLE_EQ(stats.mean_ms(), 0.0);
-}
-
-TEST(LatencyStatsTest, WorkerLatencyEmptyThenPopulated) {
+TEST(QWorkerTest, LatencySnapshotEmptyThenPopulated) {
   QWorker::Options options;
   options.application = "appX";
   QWorker worker(options);
-  LatencyStats empty = worker.latency();
+  obs::HistogramSnapshot empty = worker.latency_snapshot();
   EXPECT_EQ(empty.count, 0u);
-  // Regression: an idle worker's histogram snapshot reports min = 0; the
-  // stats view must not present that as a real 0 ms minimum.
-  EXPECT_TRUE(std::isinf(empty.min_ms));
+  // An idle worker reports zeros, never garbage.
+  EXPECT_DOUBLE_EQ(empty.min, 0.0);
+  EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
+  EXPECT_DOUBLE_EQ(empty.p99(), 0.0);
 
   worker.Process(Query("SELECT 1"));
-  LatencyStats one = worker.latency();
+  obs::HistogramSnapshot one = worker.latency_snapshot();
   EXPECT_EQ(one.count, 1u);
-  EXPECT_GT(one.min_ms, 0.0);
-  EXPECT_TRUE(std::isfinite(one.min_ms));
-}
-
-TEST(LatencyStatsTest, MergeIgnoresEmptySides) {
-  LatencyStats a;
-  LatencyStats b;
-  b.count = 2;
-  b.min_ms = 1.5;
-  b.max_ms = 4.0;
-  b.total_ms = 5.5;
-
-  LatencyStats merged = a;
-  merged.Merge(b);  // empty += populated
-  EXPECT_EQ(merged.count, 2u);
-  EXPECT_DOUBLE_EQ(merged.min_ms, 1.5);
-  EXPECT_DOUBLE_EQ(merged.max_ms, 4.0);
-
-  merged.Merge(a);  // populated += empty: unchanged
-  EXPECT_EQ(merged.count, 2u);
-  EXPECT_DOUBLE_EQ(merged.min_ms, 1.5);
-
-  LatencyStats c;
-  c.count = 1;
-  c.min_ms = 0.5;
-  c.max_ms = 0.5;
-  c.total_ms = 0.5;
-  merged.Merge(c);
-  EXPECT_EQ(merged.count, 3u);
-  EXPECT_DOUBLE_EQ(merged.min_ms, 0.5);
-  EXPECT_DOUBLE_EQ(merged.max_ms, 4.0);
-  EXPECT_DOUBLE_EQ(merged.total_ms, 6.0);
+  EXPECT_GT(one.min, 0.0);
+  EXPECT_TRUE(std::isfinite(one.min));
+  EXPECT_DOUBLE_EQ(one.min, one.max);
 }
 
 }  // namespace

@@ -99,8 +99,8 @@ TEST(QWorkerPoolTest, RoundRobinSpreadsUniformly) {
   for (const auto& s : pool.Stats()) {
     EXPECT_EQ(s.processed, 10u);
     EXPECT_EQ(s.num_classifiers, 1u);
-    EXPECT_GT(s.latency.max_ms, 0.0);
-    EXPECT_EQ(s.latency.count, 10u);
+    EXPECT_GT(s.histogram.max, 0.0);
+    EXPECT_EQ(s.histogram.count, 10u);
   }
   EXPECT_EQ(pool.processed_count(), 40u);
 }
@@ -122,13 +122,11 @@ TEST(QWorkerPoolTest, StatsReportPercentilesFromHistograms) {
   uint64_t total = 0;
   for (const auto& s : pool.Stats()) {
     EXPECT_EQ(s.histogram.count, 20u);
-    EXPECT_GT(s.p99_ms, 0.0);
-    EXPECT_LE(s.p50_ms, s.p90_ms);
-    EXPECT_LE(s.p90_ms, s.p99_ms);
-    EXPECT_LE(s.p99_ms, s.histogram.max);
-    // The thin LatencyStats view must agree with the histogram it wraps.
-    EXPECT_EQ(s.latency.count, s.histogram.count);
-    EXPECT_DOUBLE_EQ(s.latency.max_ms, s.histogram.max);
+    EXPECT_GT(s.histogram.p99(), 0.0);
+    EXPECT_LE(s.histogram.min, s.histogram.p50());
+    EXPECT_LE(s.histogram.p50(), s.histogram.p90());
+    EXPECT_LE(s.histogram.p90(), s.histogram.p99());
+    EXPECT_LE(s.histogram.p99(), s.histogram.max);
     total += s.histogram.count;
   }
   obs::HistogramSnapshot pooled = pool.MergedLatency();
@@ -651,53 +649,47 @@ TEST_F(QWorkerPoolFaultTest, BreakerStatesCoverEveryShard) {
   EXPECT_TRUE(names.count("X/1:task_user"));
 }
 
+TEST_F(QWorkerPoolFaultTest, PerTenantSinkBreakersReplaceWorkerLevelOnes) {
+  // Per-tenant sink breakers replace the worker-level ones, so
+  // BreakerStates lists only breakers that Process consults.
+  QWorkerPool::Options options;
+  options.application = "X";
+  options.num_shards = 1;
+  options.worker.per_tenant_sink_breakers = true;
+  QWorkerPool pool(options);
+  pool.Deploy(TrainedUserClassifier());
+  pool.set_database_sink([](const workload::LabeledQuery&) {});
+  pool.set_training_sink([](const ProcessedQuery&) {});
+  ProcessedQuery out = pool.Process(Query("SELECT 1", "u1", "a"));
+  EXPECT_TRUE(out.clean());
+
+  std::set<std::string> names;
+  for (const auto& [name, state] : pool.BreakerStates()) names.insert(name);
+  EXPECT_TRUE(names.count("X/0:sink_database:a"));
+  EXPECT_TRUE(names.count("X/0:sink_training:a"));
+  EXPECT_TRUE(names.count("X/0:task_user"));
+  EXPECT_FALSE(names.count("X/0:sink_database"));
+  EXPECT_FALSE(names.count("X/0:sink_training"));
+  EXPECT_EQ(names.size(), 3u);
+}
+
 TEST_F(QWorkerPoolFaultTest, StatsOnIdlePoolHasNoFakeZeroMin) {
   QWorkerPool::Options options;
   options.application = "X";
   options.num_shards = 2;
   QWorkerPool pool(options);
   for (const auto& s : pool.Stats()) {
-    EXPECT_EQ(s.latency.count, 0u);
-    // Regression: idle shards used to report min_ms = 0 from the empty
-    // histogram snapshot; the sentinel (+inf) plus min() guard fix it.
-    EXPECT_TRUE(std::isinf(s.latency.min_ms));
-    EXPECT_DOUBLE_EQ(s.latency.min(), 0.0);
+    EXPECT_EQ(s.histogram.count, 0u);
+    EXPECT_DOUBLE_EQ(s.histogram.min, 0.0);
   }
-  // Merging an idle shard's stats into a busy one keeps the real min.
+  // Merging an idle shard into the pooled view keeps the busy shard's
+  // real minimum, not the idle shard's zero.
   pool.Process(Query("SELECT 1"));
-  auto stats = pool.Stats();
-  LatencyStats merged;
-  for (const auto& s : stats) merged.Merge(s.latency);
+  obs::HistogramSnapshot merged = pool.MergedLatency();
   EXPECT_EQ(merged.count, 1u);
-  EXPECT_TRUE(std::isfinite(merged.min_ms));
-  EXPECT_GT(merged.min_ms, 0.0);
-}
-
-// count==0 sentinel audit: both merge directions and an all-empty fold.
-TEST(LatencyStatsMerge, EmptySidesContributeNothing) {
-  LatencyStats busy;
-  busy.count = 2;
-  busy.min_ms = 1.5;
-  busy.max_ms = 4.0;
-  busy.total_ms = 5.5;
-
-  LatencyStats idle;
-  busy.Merge(idle);  // no-op: idle's +inf sentinel must not leak
-  EXPECT_EQ(busy.count, 2u);
-  EXPECT_DOUBLE_EQ(busy.min_ms, 1.5);
-  EXPECT_DOUBLE_EQ(busy.max_ms, 4.0);
-
-  LatencyStats adopted;
-  adopted.Merge(busy);  // adopts the real extrema
-  EXPECT_DOUBLE_EQ(adopted.min_ms, 1.5);
-  EXPECT_DOUBLE_EQ(adopted.max_ms, 4.0);
-  EXPECT_DOUBLE_EQ(adopted.mean_ms(), 2.75);
-
-  LatencyStats all_idle;
-  all_idle.Merge(LatencyStats{});
-  all_idle.Merge(LatencyStats{});
-  EXPECT_EQ(all_idle.count, 0u);
-  EXPECT_DOUBLE_EQ(all_idle.min(), 0.0);  // display guard, not the sentinel
+  EXPECT_TRUE(std::isfinite(merged.min));
+  EXPECT_GT(merged.min, 0.0);
+  EXPECT_DOUBLE_EQ(merged.min, merged.max);
 }
 
 }  // namespace

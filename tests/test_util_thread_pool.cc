@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -155,12 +156,41 @@ TEST(ThreadPoolTest, ParallelForMoreShardsThanIndices) {
   EXPECT_EQ(ran.load(), 2);
 }
 
+/// Pool-wide thread-pool telemetry: each family exists only per lane, so
+/// a pool-wide figure is the sum over the lane series. Fails the calling
+/// test if a series without a lane label shows up.
+struct LaneTotals {
+  uint64_t tasks = 0;
+  uint64_t timed_tasks = 0;
+  double queue_depth = 0.0;
+};
+
+LaneTotals SumOverLanes() {
+  auto snap = obs::MetricsRegistry::Global().Collect("querc_threadpool_");
+  auto has_lane = [](const obs::Labels& labels) {
+    return labels.size() == 1 && labels[0].first == "lane";
+  };
+  LaneTotals totals;
+  for (const auto& c : snap.counters) {
+    if (c.name != "querc_threadpool_tasks_total") continue;
+    EXPECT_TRUE(has_lane(c.labels)) << c.name << " without a lane label";
+    totals.tasks += c.value;
+  }
+  for (const auto& h : snap.histograms) {
+    if (h.name != "querc_threadpool_task_ms") continue;
+    EXPECT_TRUE(has_lane(h.labels)) << h.name << " without a lane label";
+    totals.timed_tasks += h.snapshot.count;
+  }
+  for (const auto& g : snap.gauges) {
+    if (g.name != "querc_threadpool_queue_depth") continue;
+    EXPECT_TRUE(has_lane(g.labels)) << g.name << " without a lane label";
+    totals.queue_depth += g.value;
+  }
+  return totals;
+}
+
 TEST(ThreadPoolTest, PublishesTelemetryToGlobalRegistry) {
-  auto& registry = obs::MetricsRegistry::Global();
-  uint64_t tasks_before =
-      registry.GetCounter("querc_threadpool_tasks_total").value();
-  uint64_t recorded_before =
-      registry.GetHistogram("querc_threadpool_task_ms").Snapshot().count;
+  LaneTotals before = SumOverLanes();
 
   ThreadPool pool(4);
   std::atomic<int> counter{0};
@@ -170,14 +200,11 @@ TEST(ThreadPoolTest, PublishesTelemetryToGlobalRegistry) {
   pool.WaitIdle();
 
   EXPECT_EQ(counter.load(), 25);
-  EXPECT_EQ(registry.GetCounter("querc_threadpool_tasks_total").value(),
-            tasks_before + 25);
-  EXPECT_EQ(
-      registry.GetHistogram("querc_threadpool_task_ms").Snapshot().count,
-      recorded_before + 25);
-  // Nothing queued any more, so the depth gauge has drained back.
-  EXPECT_DOUBLE_EQ(
-      registry.GetGauge("querc_threadpool_queue_depth").value(), 0.0);
+  LaneTotals after = SumOverLanes();
+  EXPECT_EQ(after.tasks, before.tasks + 25);
+  EXPECT_EQ(after.timed_tasks, before.timed_tasks + 25);
+  // Nothing queued any more, so every lane's depth gauge has drained back.
+  EXPECT_DOUBLE_EQ(after.queue_depth, 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -329,14 +356,26 @@ TEST(ThreadPoolLaneTest, CallerDrainedParallelForLeavesNoStaleHelpers) {
 // negative or overshot depth. Updates now share the queue's critical
 // section; a scraper hammering the gauge must never see < 0.
 TEST(ThreadPoolLaneTest, QueueDepthGaugeNeverNegativeUnderContention) {
-  auto& gauge =
-      obs::MetricsRegistry::Global().GetGauge("querc_threadpool_queue_depth");
+  std::array<obs::Gauge*, kNumLanes> gauges{};
+  for (size_t i = 0; i < kNumLanes; ++i) {
+    gauges[i] = &obs::MetricsRegistry::Global().GetGauge(
+        "querc_threadpool_queue_depth",
+        {{"lane", LaneName(static_cast<Lane>(i))}});
+  }
+  auto pool_depth = [&gauges] {
+    double sum = 0.0;
+    for (const obs::Gauge* gauge : gauges) sum += gauge->value();
+    return sum;
+  };
   ThreadPool pool(4);
   std::atomic<bool> done{false};
   double min_seen = 0.0;
   std::thread scraper([&] {
     while (!done.load(std::memory_order_acquire)) {
-      min_seen = std::min(min_seen, gauge.value());
+      for (const obs::Gauge* gauge : gauges) {
+        min_seen = std::min(min_seen, gauge->value());
+      }
+      min_seen = std::min(min_seen, pool_depth());
     }
   });
   constexpr int kSubmitters = 4;
@@ -355,7 +394,7 @@ TEST(ThreadPoolLaneTest, QueueDepthGaugeNeverNegativeUnderContention) {
   done.store(true, std::memory_order_release);
   scraper.join();
   EXPECT_GE(min_seen, 0.0);
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
+  EXPECT_DOUBLE_EQ(pool_depth(), 0.0);
 }
 
 TEST(ThreadPoolLaneTest, NestedParallelForAcrossLanes) {

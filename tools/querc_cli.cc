@@ -257,23 +257,91 @@ int CmdTune(const Args& args) {
   return 0;
 }
 
-int CmdAudit(const Args& args) {
+/// The --model/--history/--batch inputs of the labeling commands.
+struct LabelInputs {
+  std::shared_ptr<const embed::Embedder> embedder;
+  workload::Workload history;
+  workload::Workload batch;
+};
+
+util::StatusOr<LabelInputs> LoadLabelInputs(const Args& args) {
   auto embedder = embed::LoadEmbedderFile(args.Get("model"));
-  if (!embedder.ok()) return Fail(embedder.status());
+  if (!embedder.ok()) return embedder.status();
   auto history = LoadWorkload(args, "history");
-  if (!history.ok()) return Fail(history.status());
+  if (!history.ok()) return history.status();
   auto batch = LoadWorkload(args, "batch");
-  if (!batch.ok()) return Fail(batch.status());
+  if (!batch.ok()) return batch.status();
+  return LabelInputs{std::move(*embedder), std::move(*history),
+                     std::move(*batch)};
+}
+
+/// The self-contained input of `stats` and `trace`: a generated snowflake
+/// workload, used as history and batch alike, and a small dbow embedder
+/// trained on it.
+util::StatusOr<LabelInputs> GenerateLabelInputs(const Args& args,
+                                                int default_epochs) {
+  workload::SnowflakeGenerator::Options gopt;
+  gopt.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  gopt.accounts = workload::SnowflakeGenerator::UniformAccounts(
+      args.GetInt("accounts", 4), args.GetInt("queries", 240),
+      args.GetInt("users", 3));
+  LabelInputs in;
+  in.history = workload::SnowflakeGenerator(gopt).Generate();
+  in.batch = in.history;
+  embed::Doc2VecEmbedder::Options eopt;
+  eopt.dim = static_cast<size_t>(args.GetInt("dim", 16));
+  eopt.epochs = args.GetInt("epochs", default_epochs);
+  eopt.mode = embed::Doc2VecEmbedder::Mode::kDbow;
+  auto embedder = std::make_shared<embed::Doc2VecEmbedder>(eopt);
+  util::Status status = embed::TrainOnWorkload(*embedder, in.history);
+  if (!status.ok()) return status;
+  in.embedder = std::move(embedder);
+  return in;
+}
+
+/// The `--task user|account|cluster` classifier (default user): a random
+/// forest over `embedder`, trained on `history`.
+struct TaskClassifier {
+  std::string task;
+  core::LabelExtractor extractor;
+  std::shared_ptr<core::Classifier> classifier;
+};
+
+util::StatusOr<TaskClassifier> TrainTaskClassifier(
+    const Args& args, std::shared_ptr<const embed::Embedder> embedder,
+    const workload::Workload& history) {
+  TaskClassifier out;
+  out.task = args.Get("task", "user");
+  if (out.task == "user") {
+    out.extractor = workload::UserOf;
+  } else if (out.task == "account") {
+    out.extractor = workload::AccountOf;
+  } else if (out.task == "cluster") {
+    out.extractor = workload::ClusterOf;
+  } else {
+    return util::Status::InvalidArgument("unknown --task " + out.task);
+  }
+  out.classifier = std::make_shared<core::Classifier>(
+      out.task, std::move(embedder),
+      std::make_unique<ml::RandomForestClassifier>(
+          ml::RandomForestClassifier::Options{}));
+  util::Status status = out.classifier->Train(history, out.extractor);
+  if (!status.ok()) return status;
+  return out;
+}
+
+int CmdAudit(const Args& args) {
+  auto in = LoadLabelInputs(args);
+  if (!in.ok()) return Fail(in.status());
 
   core::SecurityAuditor::Options options;
   options.min_confidence = args.GetDouble("confidence", 0.6);
-  std::shared_ptr<const embed::Embedder> shared(std::move(*embedder));
-  core::SecurityAuditor auditor(shared, options);
-  util::Status status = auditor.Train(*history);
+  core::SecurityAuditor auditor(in->embedder, options);
+  util::Status status = auditor.Train(in->history);
   if (!status.ok()) return Fail(status);
-  auto flags = auditor.Audit(*batch);
+  auto flags = auditor.Audit(in->batch);
   std::printf("%zu of %zu queries flagged for audit\n", flags.size(),
-              batch->size());
+              in->batch.size());
   for (const auto& flag : flags) {
     std::printf("  #%zu recorded=%s predicted=%s confidence=%.2f\n",
                 flag.query_index, flag.actual_user.c_str(),
@@ -283,48 +351,23 @@ int CmdAudit(const Args& args) {
 }
 
 int CmdLabel(const Args& args) {
-  auto embedder = embed::LoadEmbedderFile(args.Get("model"));
-  if (!embedder.ok()) return Fail(embedder.status());
-  auto history = LoadWorkload(args, "history");
-  if (!history.ok()) return Fail(history.status());
-  auto batch = LoadWorkload(args, "batch");
-  if (!batch.ok()) return Fail(batch.status());
-
-  std::string task = args.Get("task", "user");
-  core::LabelExtractor extractor;
-  if (task == "user") {
-    extractor = workload::UserOf;
-  } else if (task == "account") {
-    extractor = workload::AccountOf;
-  } else if (task == "cluster") {
-    extractor = workload::ClusterOf;
-  } else {
-    return Fail(util::Status::InvalidArgument("unknown --task " + task));
-  }
-
-  std::shared_ptr<const embed::Embedder> shared(std::move(*embedder));
-  core::Classifier classifier(
-      task, shared,
-      std::make_unique<ml::RandomForestClassifier>(
-          ml::RandomForestClassifier::Options{}));
-  util::Status status = classifier.Train(*history, extractor);
-  if (!status.ok()) return Fail(status);
+  auto in = LoadLabelInputs(args);
+  if (!in.ok()) return Fail(in.status());
+  auto trained = TrainTaskClassifier(args, in->embedder, in->history);
+  if (!trained.ok()) return Fail(trained.status());
 
   size_t correct = 0;
-  for (const auto& q : *batch) {
-    std::string predicted = classifier.Predict(q);
-    if (predicted == extractor(q)) ++correct;
+  for (const auto& q : in->batch) {
+    std::string predicted = trained->classifier->Predict(q);
+    if (predicted == trained->extractor(q)) ++correct;
   }
   std::printf("%s labeling: %zu/%zu correct (%.1f%%) on the batch\n",
-              task.c_str(), correct, batch->size(),
+              trained->task.c_str(), correct, in->batch.size(),
               100.0 * static_cast<double>(correct) /
-                  static_cast<double>(std::max<size_t>(1, batch->size())));
+                  static_cast<double>(std::max<size_t>(1, in->batch.size())));
   return 0;
 }
 
-/// Trains a classifier like `label`, then runs the batch through a
-/// sharded QWorkerPool and reports per-shard throughput/latency — a
-/// command-line view of the parallel service layer.
 /// Tenant-isolation flags shared by `pool` and `stats`:
 ///   --quota BURST[:RATE]          per-account token bucket (default for
 ///                                 every tenant; RATE in queries/sec)
@@ -364,34 +407,10 @@ util::Status ApplyTenantFlags(const Args& args,
   return util::Status::OK();
 }
 
-int CmdPool(const Args& args) {
-  auto embedder = embed::LoadEmbedderFile(args.Get("model"));
-  if (!embedder.ok()) return Fail(embedder.status());
-  auto history = LoadWorkload(args, "history");
-  if (!history.ok()) return Fail(history.status());
-  auto batch = LoadWorkload(args, "batch");
-  if (!batch.ok()) return Fail(batch.status());
-
-  std::string task = args.Get("task", "user");
-  core::LabelExtractor extractor;
-  if (task == "user") {
-    extractor = workload::UserOf;
-  } else if (task == "account") {
-    extractor = workload::AccountOf;
-  } else if (task == "cluster") {
-    extractor = workload::ClusterOf;
-  } else {
-    return Fail(util::Status::InvalidArgument("unknown --task " + task));
-  }
-
-  std::shared_ptr<const embed::Embedder> shared(std::move(*embedder));
-  auto classifier = std::make_shared<core::Classifier>(
-      task, shared,
-      std::make_unique<ml::RandomForestClassifier>(
-          ml::RandomForestClassifier::Options{}));
-  util::Status status = classifier->Train(*history, extractor);
-  if (!status.ok()) return Fail(status);
-
+/// Pool flags shared by `pool` and `stats`: --shards/--threads sizing,
+/// --max-in-flight, --embed-cache, the tenant flags and --partition.
+util::StatusOr<core::QWorkerPool::Options> PoolOptionsFromFlags(
+    const Args& args) {
   core::QWorkerPool::Options options;
   options.application = "cli";
   options.num_shards = ShardsFlag(args, 8);
@@ -399,8 +418,8 @@ int CmdPool(const Args& args) {
   options.max_in_flight = static_cast<size_t>(args.GetInt("max-in-flight", 0));
   options.worker.embed_cache_capacity =
       static_cast<size_t>(args.GetInt("embed-cache", 4096));
-  util::Status tenant_status = ApplyTenantFlags(args, &options);
-  if (!tenant_status.ok()) return Fail(tenant_status);
+  util::Status status = ApplyTenantFlags(args, &options);
+  if (!status.ok()) return status;
   std::string partition = args.Get("partition", "account");
   if (partition == "account") {
     options.partition = core::QWorkerPool::Partition::kByAccount;
@@ -409,14 +428,42 @@ int CmdPool(const Args& args) {
   } else if (partition == "rr") {
     options.partition = core::QWorkerPool::Partition::kRoundRobin;
   } else {
-    return Fail(
-        util::Status::InvalidArgument("unknown --partition " + partition));
+    return util::Status::InvalidArgument("unknown --partition " + partition);
   }
-  core::QWorkerPool pool(options);
-  pool.Deploy(classifier);
+  return options;
+}
 
+/// Prints the pool-wide embed-cache line; prints nothing and returns
+/// false when the cache is disabled.
+bool PrintEmbedCacheLine(const core::QWorkerPool& pool) {
+  embed::EmbedCacheStats cache = pool.MergedEmbedCacheStats();
+  if (cache.capacity == 0) return false;
+  std::printf("embed cache: %llu hits / %llu misses (%.1f%% hit ratio), "
+              "%llu evictions, %zu/%zu entries across shards\n",
+              static_cast<unsigned long long>(cache.hits),
+              static_cast<unsigned long long>(cache.misses),
+              100.0 * cache.hit_ratio(),
+              static_cast<unsigned long long>(cache.evictions), cache.size,
+              cache.capacity);
+  return true;
+}
+
+/// Trains a classifier like `label`, then runs the batch through a
+/// sharded QWorkerPool and reports per-shard throughput/latency — a
+/// command-line view of the parallel service layer.
+int CmdPool(const Args& args) {
+  auto in = LoadLabelInputs(args);
+  if (!in.ok()) return Fail(in.status());
+  auto trained = TrainTaskClassifier(args, in->embedder, in->history);
+  if (!trained.ok()) return Fail(trained.status());
+  auto options = PoolOptionsFromFlags(args);
+  if (!options.ok()) return Fail(options.status());
+  core::QWorkerPool pool(*options);
+  pool.Deploy(trained->classifier);
+
+  const workload::Workload& batch = in->batch;
   util::Stopwatch timer;
-  auto outputs = pool.ProcessBatch(*batch);
+  auto outputs = pool.ProcessBatch(batch);
   double seconds = timer.ElapsedSeconds();
 
   size_t correct = 0;
@@ -426,31 +473,25 @@ int CmdPool(const Args& args) {
       ++shed;
       continue;
     }
-    if (outputs[i].predictions.at(task) == extractor((*batch)[i])) ++correct;
+    if (outputs[i].predictions.at(trained->task) ==
+        trained->extractor(batch[i])) {
+      ++correct;
+    }
   }
   std::printf("%s labeling via %zu-shard pool (%s partition): %zu/%zu "
               "correct (%.1f%%), %.0f queries/sec\n",
-              task.c_str(), pool.num_shards(), partition.c_str(), correct,
-              batch->size(),
+              trained->task.c_str(), pool.num_shards(),
+              args.Get("partition", "account").c_str(), correct, batch.size(),
               100.0 * static_cast<double>(correct) /
-                  static_cast<double>(std::max<size_t>(1, batch->size())),
-              static_cast<double>(batch->size()) / std::max(seconds, 1e-9));
+                  static_cast<double>(std::max<size_t>(1, batch.size())),
+              static_cast<double>(batch.size()) / std::max(seconds, 1e-9));
   for (const auto& s : pool.Stats()) {
     std::printf("  shard %zu: %zu queries, latency min/mean/max "
                 "%.3f/%.3f/%.3f ms, p50/p99 %.3f/%.3f ms\n",
-                s.shard, s.processed, s.latency.min(), s.latency.mean_ms(),
-                s.latency.max_ms, s.p50_ms, s.p99_ms);
+                s.shard, s.processed, s.histogram.min, s.histogram.mean(),
+                s.histogram.max, s.histogram.p50(), s.histogram.p99());
   }
-  embed::EmbedCacheStats cache = pool.MergedEmbedCacheStats();
-  if (cache.capacity > 0) {
-    std::printf("embed cache: %llu hits / %llu misses (%.1f%% hit ratio), "
-                "%llu evictions, %zu/%zu entries across shards\n",
-                static_cast<unsigned long long>(cache.hits),
-                static_cast<unsigned long long>(cache.misses),
-                100.0 * cache.hit_ratio(),
-                static_cast<unsigned long long>(cache.evictions), cache.size,
-                cache.capacity);
-  }
+  PrintEmbedCacheLine(pool);
   if (pool.admission() != nullptr) {
     std::printf("tenant admission: %zu shed (quota=%llu fairness=%llu "
                 "global=%llu) across %zu tracked tenants\n",
@@ -474,79 +515,16 @@ int CmdPool(const Args& args) {
 /// a small dbow embedder in-process; pass --model/--history/--batch to
 /// measure real inputs instead.
 int CmdStats(const Args& args) {
-  workload::Workload history;
-  workload::Workload batch;
-  std::shared_ptr<const embed::Embedder> shared;
-  if (!args.Get("model").empty()) {
-    auto embedder = embed::LoadEmbedderFile(args.Get("model"));
-    if (!embedder.ok()) return Fail(embedder.status());
-    auto h = LoadWorkload(args, "history");
-    if (!h.ok()) return Fail(h.status());
-    auto b = LoadWorkload(args, "batch");
-    if (!b.ok()) return Fail(b.status());
-    history = *std::move(h);
-    batch = *std::move(b);
-    shared = std::shared_ptr<const embed::Embedder>(std::move(*embedder));
-  } else {
-    workload::SnowflakeGenerator::Options options;
-    options.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-    options.accounts = workload::SnowflakeGenerator::UniformAccounts(
-        args.GetInt("accounts", 4), args.GetInt("queries", 240),
-        args.GetInt("users", 3));
-    history = workload::SnowflakeGenerator(options).Generate();
-    batch = history;
-    embed::Doc2VecEmbedder::Options eopt;
-    eopt.dim = static_cast<size_t>(args.GetInt("dim", 16));
-    eopt.epochs = args.GetInt("epochs", 5);
-    eopt.mode = embed::Doc2VecEmbedder::Mode::kDbow;
-    auto trained = std::make_shared<embed::Doc2VecEmbedder>(eopt);
-    util::Status status = embed::TrainOnWorkload(*trained, history);
-    if (!status.ok()) return Fail(status);
-    shared = trained;
-  }
-
-  std::string task = args.Get("task", "user");
-  core::LabelExtractor extractor;
-  if (task == "user") {
-    extractor = workload::UserOf;
-  } else if (task == "account") {
-    extractor = workload::AccountOf;
-  } else if (task == "cluster") {
-    extractor = workload::ClusterOf;
-  } else {
-    return Fail(util::Status::InvalidArgument("unknown --task " + task));
-  }
-
-  auto classifier = std::make_shared<core::Classifier>(
-      task, shared,
-      std::make_unique<ml::RandomForestClassifier>(
-          ml::RandomForestClassifier::Options{}));
-  util::Status status = classifier->Train(history, extractor);
-  if (!status.ok()) return Fail(status);
-
-  core::QWorkerPool::Options options;
-  options.application = "cli";
-  options.num_shards = ShardsFlag(args, 8);
-  options.threads = ThreadsFlag(args);
-  options.max_in_flight = static_cast<size_t>(args.GetInt("max-in-flight", 0));
-  options.worker.deadline_ms = args.GetDouble("deadline-ms", 0.0);
-  options.worker.embed_cache_capacity =
-      static_cast<size_t>(args.GetInt("embed-cache", 4096));
-  util::Status tenant_status = ApplyTenantFlags(args, &options);
-  if (!tenant_status.ok()) return Fail(tenant_status);
-  std::string partition = args.Get("partition", "account");
-  if (partition == "account") {
-    options.partition = core::QWorkerPool::Partition::kByAccount;
-  } else if (partition == "user") {
-    options.partition = core::QWorkerPool::Partition::kByUser;
-  } else if (partition == "rr") {
-    options.partition = core::QWorkerPool::Partition::kRoundRobin;
-  } else {
-    return Fail(
-        util::Status::InvalidArgument("unknown --partition " + partition));
-  }
-  core::QWorkerPool pool(options);
-  pool.Deploy(classifier);
+  auto in = args.Get("model").empty() ? GenerateLabelInputs(args, 5)
+                                      : LoadLabelInputs(args);
+  if (!in.ok()) return Fail(in.status());
+  auto trained = TrainTaskClassifier(args, in->embedder, in->history);
+  if (!trained.ok()) return Fail(trained.status());
+  auto options = PoolOptionsFromFlags(args);
+  if (!options.ok()) return Fail(options.status());
+  options->worker.deadline_ms = args.GetDouble("deadline-ms", 0.0);
+  core::QWorkerPool pool(*options);
+  pool.Deploy(trained->classifier);
   // No-op sinks so the full pipeline — including the sink retry/breaker
   // machinery and the qworker.sink_* failpoints — is exercised end to end.
   pool.set_database_sink([](const workload::LabeledQuery&) {});
@@ -563,7 +541,7 @@ int CmdStats(const Args& args) {
   int repeat = std::max(1, args.GetInt("repeat", 1));
   util::Stopwatch timer;
   for (int round = 0; round < repeat; ++round) {
-    pool.ProcessBatch(batch);
+    pool.ProcessBatch(in->batch);
   }
   double total_ms = timer.ElapsedSeconds() * 1000.0;
   if (report_ms > 0) periodic.Stop();
@@ -595,31 +573,23 @@ int CmdStats(const Args& args) {
 
   std::printf("processed %zu queries x %d batch(es) across %zu shards "
               "(%s partition) in %.1f ms\n",
-              batch.size(), repeat, pool.num_shards(), partition.c_str(),
-              total_ms);
+              in->batch.size(), repeat, pool.num_shards(),
+              args.Get("partition", "account").c_str(), total_ms);
   std::printf("per-shard latency (ms):\n");
   std::printf("  %5s %8s %8s %8s %8s %8s\n", "shard", "count", "p50", "p90",
               "p99", "max");
   for (const auto& s : pool.Stats()) {
     std::printf("  %5zu %8llu %8.3f %8.3f %8.3f %8.3f\n", s.shard,
-                static_cast<unsigned long long>(s.histogram.count), s.p50_ms,
-                s.p90_ms, s.p99_ms, s.histogram.max);
+                static_cast<unsigned long long>(s.histogram.count),
+                s.histogram.p50(), s.histogram.p90(), s.histogram.p99(),
+                s.histogram.max);
   }
   obs::HistogramSnapshot pooled = pool.MergedLatency();
   std::printf("pooled: count=%llu p50=%.3f p90=%.3f p99=%.3f max=%.3f\n",
               static_cast<unsigned long long>(pooled.count), pooled.p50(),
               pooled.p90(), pooled.p99(), pooled.max);
 
-  embed::EmbedCacheStats cache = pool.MergedEmbedCacheStats();
-  if (cache.capacity > 0) {
-    std::printf("embed cache: %llu hits / %llu misses (%.1f%% hit ratio), "
-                "%llu evictions, %zu/%zu entries across shards\n",
-                static_cast<unsigned long long>(cache.hits),
-                static_cast<unsigned long long>(cache.misses),
-                100.0 * cache.hit_ratio(),
-                static_cast<unsigned long long>(cache.evictions), cache.size,
-                cache.capacity);
-  } else {
+  if (!PrintEmbedCacheLine(pool)) {
     std::printf("embed cache: disabled (--embed-cache 0)\n");
   }
 
@@ -863,26 +833,14 @@ int CmdChaos(const Args& args) {
 /// slowest — one-line text to stdout and Chrome trace-event / Perfetto
 /// JSON to --out (loadable at ui.perfetto.dev or chrome://tracing).
 int CmdTrace(const Args& args) {
-  workload::SnowflakeGenerator::Options gopt;
-  gopt.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  gopt.accounts = workload::SnowflakeGenerator::UniformAccounts(
-      args.GetInt("accounts", 4), args.GetInt("queries", 240),
-      args.GetInt("users", 3));
-  workload::Workload wl = workload::SnowflakeGenerator(gopt).Generate();
-
-  embed::Doc2VecEmbedder::Options eopt;
-  eopt.dim = static_cast<size_t>(args.GetInt("dim", 16));
-  eopt.epochs = args.GetInt("epochs", 3);
-  eopt.mode = embed::Doc2VecEmbedder::Mode::kDbow;
-  auto embedder = std::make_shared<embed::Doc2VecEmbedder>(eopt);
-  util::Status status = embed::TrainOnWorkload(*embedder, wl);
-  if (!status.ok()) return Fail(status);
-
+  auto in = GenerateLabelInputs(args, 3);
+  if (!in.ok()) return Fail(in.status());
+  const workload::Workload& wl = in->history;
   auto classifier = std::make_shared<core::Classifier>(
-      "user", embedder,
+      "user", in->embedder,
       std::make_unique<ml::RandomForestClassifier>(
           ml::RandomForestClassifier::Options{}));
-  status = classifier->Train(wl, workload::UserOf);
+  util::Status status = classifier->Train(wl, workload::UserOf);
   if (!status.ok()) return Fail(status);
 
   core::QWorkerPool::Options options;
