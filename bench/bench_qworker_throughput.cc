@@ -111,6 +111,32 @@ void BM_EmbedLstm(benchmark::State& state) {
 }
 BENCHMARK(BM_EmbedLstm);
 
+/// The per-miss cost of the service's embedder: one Doc2Vec inference
+/// (dim 16, PV-DBOW, 5 training epochs, default 24 inference epochs, as
+/// perfbench's service trains it) on pre-tokenized queries, so nothing
+/// but `Embed` is timed.
+void BM_Doc2VecEmbedDbow16(benchmark::State& state) {
+  static const embed::Doc2VecEmbedder* embedder = [] {
+    embed::Doc2VecEmbedder::Options options;
+    options.dim = 16;
+    options.epochs = 5;
+    options.mode = embed::Doc2VecEmbedder::Mode::kDbow;
+    auto* e = new embed::Doc2VecEmbedder(options);
+    (void)embed::TrainOnWorkload(*e, SharedWorkload());
+    return e;
+  }();
+  std::vector<std::vector<std::string>> docs;
+  for (size_t i = 0; i < 256; ++i) {
+    docs.push_back(embed::TokenizeForEmbedding(SampleQuery(i),
+                                               sql::Dialect::kSnowflake));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(embedder->Embed(docs[i++ % docs.size()]));
+  }
+}
+BENCHMARK(BM_Doc2VecEmbedDbow16);
+
 /// One trained (LSTM embedder, forest labeler) user classifier, shared by
 /// the QWorker and QWorkerPool benchmarks so training cost is paid once.
 std::shared_ptr<const core::Classifier> SharedUserClassifier() {

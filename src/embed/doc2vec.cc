@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <type_traits>
 
 #include "nn/serialize.h"
 #include "nn/softmax.h"
@@ -17,6 +18,19 @@ namespace {
 constexpr uint64_t kMagic = 0x51444f4332564532ULL;    // "QDOC2VE2"
 constexpr uint64_t kMagicV1 = 0x51444f4332564543ULL;  // "QDOC2VEC"
 }
+
+/// TrainDocument's buffers, allocated once per Train or Embed call rather
+/// than once per document pass.
+struct Doc2VecEmbedder::Scratch {
+  explicit Scratch(const Options& options)
+      : context(options.dim, 0.0),
+        negatives(static_cast<size_t>(options.negative)) {}
+
+  nn::Vec context;
+  nn::Vec d_context;
+  std::vector<size_t> negatives;
+  std::vector<size_t> window_words;
+};
 
 util::Status Doc2VecEmbedder::Train(
     const std::vector<std::vector<std::string>>& docs) {
@@ -38,7 +52,8 @@ util::Status Doc2VecEmbedder::Train(
 
   std::vector<std::vector<size_t>> encoded;
   encoded.reserve(docs.size());
-  for (const auto& d : docs) encoded.push_back(vocab_.Encode(d));
+  for (const auto& d : docs) encoded.push_back(EncodeDocument(d));
+  Scratch scratch(options_);
 
   std::vector<size_t> order(docs.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -53,8 +68,8 @@ util::Status Doc2VecEmbedder::Train(
     double lr = lr0 + (lr1 - lr0) * frac;
     rng.Shuffle(order);
     for (size_t doc_id : order) {
-      TrainDocument(encoded[doc_id], doc_vecs_.row(doc_id), lr,
-                    /*update_tables=*/true, rng);
+      TrainDocument(*this, encoded[doc_id], doc_vecs_.row(doc_id), lr, rng,
+                    scratch);
     }
   }
   num_train_docs_ = docs.size();
@@ -62,67 +77,82 @@ util::Status Doc2VecEmbedder::Train(
   return util::Status::OK();
 }
 
-double Doc2VecEmbedder::TrainDocument(const std::vector<size_t>& raw_ids,
-                                      double* doc_vec, double lr,
-                                      bool update_tables, util::Rng& rng) {
+std::vector<size_t> Doc2VecEmbedder::EncodeDocument(
+    const std::vector<std::string>& words) const {
   // PV-DBOW is a pure bag-of-words objective: process tokens in a
   // canonical (sorted) order so the RNG pairing cannot smuggle token-order
   // information into the vector. PV-DM keeps document order (its windows
   // are inherently order-aware).
-  std::vector<size_t> ids = raw_ids;
+  std::vector<size_t> ids = vocab_.Encode(words);
   if (options_.mode == Mode::kDbow) std::sort(ids.begin(), ids.end());
-  const size_t dim = options_.dim;
-  double loss = 0.0;
-  nn::Vec context(dim, 0.0);
-  nn::Vec d_context;
-  std::vector<size_t> negatives(static_cast<size_t>(options_.negative));
-  std::vector<size_t> window_words;
+  return ids;
+}
+
+template <typename Self>
+void Doc2VecEmbedder::TrainDocument(Self& self, const std::vector<size_t>& ids,
+                                    double* doc_vec, double lr,
+                                    util::Rng& rng, Scratch& scratch) {
+  constexpr bool kUpdateTables = !std::is_const_v<Self>;
+  const Options& options = self.options_;
+  const Vocabulary& vocab = self.vocab_;
+  const size_t dim = options.dim;
+  nn::Vec& context = scratch.context;
+  nn::Vec& d_context = scratch.d_context;
+  std::vector<size_t>& negatives = scratch.negatives;
+  std::vector<size_t>& window_words = scratch.window_words;
+
+  auto step = [&](const double* ctx, size_t target) {
+    if constexpr (kUpdateTables) {
+      nn::NegativeSamplingStep(ctx, dim, target, negatives, self.out_, lr,
+                               d_context);
+    } else {
+      nn::NegativeSamplingStep(ctx, dim, target, negatives, self.out_,
+                               d_context);
+    }
+  };
 
   for (size_t t = 0; t < ids.size(); ++t) {
     size_t target = ids[t];
-    if (target == vocab_.UnknownId()) continue;
+    if (target == vocab.UnknownId()) continue;
 
-    for (auto& n : negatives) n = vocab_.SampleNegative(rng);
+    for (auto& n : negatives) n = vocab.SampleNegative(rng);
 
-    if (options_.mode == Mode::kDbow) {
+    if (options.mode == Mode::kDbow) {
       // Paragraph vector alone predicts the word.
-      loss += nn::NegativeSamplingStep(doc_vec, dim, target, negatives, out_,
-                                       lr, d_context, update_tables);
+      step(doc_vec, target);
       nn::Axpy(-lr, d_context.data(), doc_vec, dim);
       continue;
     }
 
     // PV-DM: mean of doc vector and window word vectors.
     window_words.clear();
-    size_t lo = t >= static_cast<size_t>(options_.window)
-                    ? t - static_cast<size_t>(options_.window)
+    size_t lo = t >= static_cast<size_t>(options.window)
+                    ? t - static_cast<size_t>(options.window)
                     : 0;
-    size_t hi = std::min(ids.size(), t + static_cast<size_t>(options_.window) +
+    size_t hi = std::min(ids.size(), t + static_cast<size_t>(options.window) +
                                          1);
     for (size_t j = lo; j < hi; ++j) {
-      if (j != t && ids[j] != vocab_.UnknownId()) {
+      if (j != t && ids[j] != vocab.UnknownId()) {
         window_words.push_back(ids[j]);
       }
     }
     double denom = static_cast<double>(window_words.size() + 1);
     for (size_t d = 0; d < dim; ++d) context[d] = doc_vec[d];
     for (size_t w : window_words) {
-      nn::Axpy(1.0, word_in_.row(w), context.data(), dim);
+      nn::Axpy(1.0, self.word_in_.row(w), context.data(), dim);
     }
     for (double& v : context) v /= denom;
 
-    loss += nn::NegativeSamplingStep(context.data(), dim, target, negatives,
-                                     out_, lr, d_context, update_tables);
+    step(context.data(), target);
     // The mean distributes the gradient equally to each contributor.
     double scale = -lr / denom;
     nn::Axpy(scale, d_context.data(), doc_vec, dim);
-    if (update_tables) {
+    if constexpr (kUpdateTables) {
       for (size_t w : window_words) {
-        nn::Axpy(scale, d_context.data(), word_in_.row(w), dim);
+        nn::Axpy(scale, d_context.data(), self.word_in_.row(w), dim);
       }
     }
   }
-  return loss;
 }
 
 nn::Vec Doc2VecEmbedder::Embed(const std::vector<std::string>& words) const {
@@ -142,10 +172,8 @@ nn::Vec Doc2VecEmbedder::Embed(const std::vector<std::string>& words) const {
     v = rng.UniformDouble(-0.5, 0.5) / static_cast<double>(options_.dim);
   }
 
-  std::vector<size_t> ids = vocab_.Encode(words);
-  // Mutable alias: inference never touches the shared tables
-  // (update_tables=false), so the const_cast only affects the local vector.
-  auto* self = const_cast<Doc2VecEmbedder*>(this);
+  const std::vector<size_t> ids = EncodeDocument(words);
+  Scratch scratch(options_);
   const double lr0 = options_.learning_rate;
   const double lr1 = options_.min_learning_rate;
   for (int epoch = 0; epoch < options_.infer_epochs; ++epoch) {
@@ -154,7 +182,7 @@ nn::Vec Doc2VecEmbedder::Embed(const std::vector<std::string>& words) const {
                             static_cast<double>(options_.infer_epochs - 1)
                       : 0.0;
     double lr = lr0 + (lr1 - lr0) * frac;
-    self->TrainDocument(ids, vec.data(), lr, /*update_tables=*/false, rng);
+    TrainDocument(*this, ids, vec.data(), lr, rng, scratch);
   }
   return vec;
 }

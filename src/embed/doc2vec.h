@@ -63,10 +63,20 @@ class Doc2VecEmbedder : public Embedder {
   static util::StatusOr<Doc2VecEmbedder> Load(std::istream& in);
 
  private:
-  /// One negative-sampling pass over `doc` updating `doc_vec` (and, when
-  /// `update_tables`, the word/output tables). Returns summed loss.
-  double TrainDocument(const std::vector<size_t>& ids, double* doc_vec,
-                       double lr, bool update_tables, util::Rng& rng);
+  struct Scratch;
+
+  /// Encodes `words` in the order TrainDocument consumes them.
+  std::vector<size_t> EncodeDocument(
+      const std::vector<std::string>& words) const;
+
+  /// One negative-sampling pass over `ids` (from EncodeDocument) updating
+  /// `doc_vec`. `Self` is `Doc2VecEmbedder` while training, which also
+  /// updates the word/output tables, and `const Doc2VecEmbedder` at
+  /// inference, where the compiler keeps the shared tables frozen.
+  template <typename Self>
+  static void TrainDocument(Self& self, const std::vector<size_t>& ids,
+                            double* doc_vec, double lr, util::Rng& rng,
+                            Scratch& scratch);
 
   Options options_;
   Vocabulary vocab_;

@@ -141,9 +141,8 @@ std::pair<double, size_t> LstmAutoencoderEmbedder::TrainDocument(
     } else {
       for (auto& n : negatives) n = vocab_.SampleNegative(rng);
       nn::Vec d_context;
-      loss += nn::NegativeSamplingStep(h.data(), hd, target, negatives, out_,
-                                       /*lr=*/0.05, d_context,
-                                       /*update_output=*/true);
+      nn::NegativeSamplingStep(h.data(), hd, target, negatives, out_,
+                               /*lr=*/0.05, d_context, &loss);
       dh_per_step[t] = std::move(d_context);
     }
   }

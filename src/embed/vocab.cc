@@ -54,24 +54,42 @@ std::vector<size_t> Vocabulary::Encode(
 }
 
 void Vocabulary::BuildSamplingTable() {
-  sampling_cdf_.assign(words_.size(), 0.0);
+  const size_t n = words_.size();
+  sampling_cdf_.assign(n, 0.0);
+  sampling_guide_.clear();
   double acc = 0.0;
-  for (size_t i = 0; i < words_.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     // Special tokens and <unk> participate with their (possibly zero)
     // counts; pow(0, 0.75) == 0, so they are never drawn unless folded.
     acc += std::pow(static_cast<double>(counts_[i]), 0.75);
     sampling_cdf_[i] = acc;
   }
-  if (acc > 0.0) {
-    for (double& v : sampling_cdf_) v /= acc;
+  if (acc <= 0.0) return;
+  for (double& v : sampling_cdf_) v /= acc;
+
+  // One bucket per id. Bucket(x) = floor(x * n) is monotone in x (rounded
+  // multiplication is), so for a draw u the exact answer `a` has
+  // Bucket(cdf[a]) >= Bucket(u): the guide entry is never past it. The
+  // last CDF entry is acc / acc == 1, whose bucket is n, so every bucket
+  // gets an entry.
+  sampling_guide_.resize(n);
+  size_t b = 0;
+  for (size_t i = 0; i < n && b < n; ++i) {
+    const size_t top = static_cast<size_t>(sampling_cdf_[i] * n);
+    while (b < n && b <= top) sampling_guide_[b++] = static_cast<uint32_t>(i);
   }
 }
 
 size_t Vocabulary::SampleNegative(util::Rng& rng) const {
-  if (sampling_cdf_.empty() || sampling_cdf_.back() <= 0.0) return UnknownId();
-  double u = rng.UniformDouble();
-  auto it = std::lower_bound(sampling_cdf_.begin(), sampling_cdf_.end(), u);
-  return static_cast<size_t>(std::distance(sampling_cdf_.begin(), it));
+  if (sampling_guide_.empty()) return UnknownId();
+  const double u = rng.UniformDouble();
+  const size_t n = sampling_guide_.size();
+  // u < 1, so the bucket is < n up to rounding; clamp for the rounding.
+  size_t id = sampling_guide_[std::min(static_cast<size_t>(u * n), n - 1)];
+  // Same answer as std::lower_bound over the CDF; terminates because
+  // the last entry is 1 > u.
+  while (sampling_cdf_[id] < u) ++id;
+  return id;
 }
 
 util::Status Vocabulary::Save(std::ostream& out) const {

@@ -1,6 +1,7 @@
 #ifndef QUERC_EMBED_VOCAB_H_
 #define QUERC_EMBED_VOCAB_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <unordered_map>
@@ -43,7 +44,8 @@ class Vocabulary {
   /// Converts words to ids (unknowns folded).
   std::vector<size_t> Encode(const std::vector<std::string>& words) const;
 
-  /// Draws one id from the unigram^0.75 negative-sampling distribution.
+  /// Draws one id from the unigram^0.75 negative-sampling distribution:
+  /// the first id whose CDF value is >= one `UniformDouble` draw.
   size_t SampleNegative(util::Rng& rng) const;
 
   util::Status Save(std::ostream& out) const;
@@ -56,8 +58,13 @@ class Vocabulary {
   std::vector<uint64_t> counts_;
   std::unordered_map<std::string, size_t> index_;
   uint64_t total_tokens_ = 0;
-  /// Alias-free sampling table: cumulative distribution over ids.
+  /// Cumulative unigram^0.75 distribution over ids.
   std::vector<double> sampling_cdf_;
+  /// Guide table over the CDF: `sampling_guide_[b]` is the first id whose
+  /// bucket `floor(cdf * V)` is >= b, so a draw `u` in bucket b starts its
+  /// search there and walks forward (O(1) steps expected) to the exact
+  /// lower bound. Empty when no id has a nonzero count.
+  std::vector<uint32_t> sampling_guide_;
 };
 
 }  // namespace querc::embed

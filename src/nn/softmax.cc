@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 namespace querc::nn {
 
@@ -58,21 +59,31 @@ size_t SoftmaxHead::Predict(const Vec& h) const {
   return best;
 }
 
-double NegativeSamplingStep(const double* context, size_t dim,
-                            size_t target_word,
-                            const std::vector<size_t>& negative_words,
-                            Tensor& output_table, double lr, Vec& d_context,
-                            bool update_output) {
+namespace {
+
+/// Shared body of both NegativeSamplingStep overloads. `Table` is `Tensor`
+/// when the output rows are trained and `const Tensor` when frozen, so a
+/// frozen step cannot write the table.
+template <typename Table>
+void NegativeSamplingPairs(const double* context, size_t dim,
+                           size_t target_word,
+                           const std::vector<size_t>& negative_words,
+                           Table& output_table, double lr, Vec& d_context,
+                           double* loss) {
+  constexpr bool kUpdate = !std::is_const_v<Table>;
   d_context.assign(dim, 0.0);
-  double loss = 0.0;
+  double step_loss = 0.0;
 
   auto update_pair = [&](size_t word, double label) {
-    double* out_row = output_table.row(word);
+    auto* out_row = output_table.row(word);
     double score = Sigmoid(Dot(context, out_row, dim));
-    loss -= std::log(std::max(label > 0.5 ? score : 1.0 - score, 1e-12));
+    if (loss != nullptr) {
+      step_loss -=
+          std::log(std::max(label > 0.5 ? score : 1.0 - score, 1e-12));
+    }
     double g = score - label;  // d(loss)/d(logit)
     Axpy(g, out_row, d_context.data(), dim);
-    if (update_output) Axpy(-lr * g, context, out_row, dim);
+    if constexpr (kUpdate) Axpy(-lr * g, context, out_row, dim);
   };
 
   update_pair(target_word, 1.0);
@@ -80,7 +91,27 @@ double NegativeSamplingStep(const double* context, size_t dim,
     if (neg == target_word) continue;
     update_pair(neg, 0.0);
   }
-  return loss;
+  if (loss != nullptr) *loss += step_loss;
+}
+
+}  // namespace
+
+void NegativeSamplingStep(const double* context, size_t dim,
+                          size_t target_word,
+                          const std::vector<size_t>& negative_words,
+                          Tensor& output_table, double lr, Vec& d_context,
+                          double* loss) {
+  NegativeSamplingPairs(context, dim, target_word, negative_words,
+                        output_table, lr, d_context, loss);
+}
+
+void NegativeSamplingStep(const double* context, size_t dim,
+                          size_t target_word,
+                          const std::vector<size_t>& negative_words,
+                          const Tensor& output_table, Vec& d_context) {
+  NegativeSamplingPairs(context, dim, target_word, negative_words,
+                        output_table, /*lr=*/0.0, d_context,
+                        /*loss=*/nullptr);
 }
 
 }  // namespace querc::nn

@@ -43,20 +43,28 @@ class SoftmaxHead {
 };
 
 /// Negative-sampling logistic loss used by Doc2Vec (Mikolov et al.):
-/// positive pair (context, target) scored against k sampled negatives.
-/// Free function because Doc2Vec updates its embedding tables directly
-/// with SGD rather than through the optimizer.
+/// positive pair (context, target) scored against k sampled negatives
+/// (a negative equal to the target is skipped). Free function because
+/// Doc2Vec updates its embedding tables directly with SGD rather than
+/// through the optimizer.
 ///
-/// Returns the loss; accumulates the context-vector gradient into
-/// `d_context` (resized/zeroed internally) and applies SGD updates with
-/// rate `lr` directly to the rows of `output_table` touched.
-/// When `update_output` is false the output table is left untouched
-/// (used when inferring vectors for unseen documents).
-double NegativeSamplingStep(const double* context, size_t dim,
-                            size_t target_word,
-                            const std::vector<size_t>& negative_words,
-                            Tensor& output_table, double lr, Vec& d_context,
-                            bool update_output = true);
+/// Writes the context-vector gradient into `d_context` (resized/zeroed
+/// internally) and applies SGD updates with rate `lr` directly to the rows
+/// of `output_table` touched. The loss costs a log per pair, so it is only
+/// computed on request: when `loss` is non-null the step's loss is added
+/// to `*loss`.
+void NegativeSamplingStep(const double* context, size_t dim,
+                          size_t target_word,
+                          const std::vector<size_t>& negative_words,
+                          Tensor& output_table, double lr, Vec& d_context,
+                          double* loss = nullptr);
+
+/// The same step against a frozen output table (inferring vectors for
+/// unseen documents): only `d_context` is written.
+void NegativeSamplingStep(const double* context, size_t dim,
+                          size_t target_word,
+                          const std::vector<size_t>& negative_words,
+                          const Tensor& output_table, Vec& d_context);
 
 }  // namespace querc::nn
 

@@ -1,8 +1,12 @@
 #include "embed/doc2vec.h"
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
+#include "util/string_util.h"
 
 namespace querc::embed {
 namespace {
@@ -142,6 +146,73 @@ TEST(Doc2VecTest, DmInferenceUsesOrder) {
   std::vector<std::string> a = {"SELECT", "revenue", "FROM", "sales"};
   std::vector<std::string> c = {"INSERT", "INTO", "audit_log"};
   EXPECT_NE(embedder.Embed(a), embedder.Embed(c));
+}
+
+/// Seeded corpus over a 40-word alphabet with Zipf-ish frequencies, so
+/// the sampling table has ties, rare words fold into <unk> (min_count 2)
+/// and documents repeat tokens.
+std::vector<std::vector<std::string>> GoldenCorpus(size_t docs,
+                                                   uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<std::string>> corpus(docs);
+  for (auto& doc : corpus) {
+    const int len = static_cast<int>(rng.UniformInt(3, 14));
+    for (int t = 0; t < len; ++t) {
+      const double u = rng.UniformDouble();
+      doc.push_back("w" + std::to_string(static_cast<int>(40.0 * u * u)));
+    }
+  }
+  return corpus;
+}
+
+uint64_t HashVectors(const std::vector<nn::Vec>& vecs) {
+  std::string bytes;
+  for (const nn::Vec& v : vecs) {
+    bytes.append(reinterpret_cast<const char*>(v.data()),
+                 v.size() * sizeof(double));
+  }
+  return util::Fnv1a64(bytes);
+}
+
+TEST(Doc2VecTest, GoldenBitsPinned) {
+  // Every bit of the trained tables (via Save) and of inference output is
+  // pinned, so speed work on the training/inference loops cannot move a
+  // vector unnoticed. EXPERIMENTS.md's Fig. 3 and Table 1 run PV-DBOW
+  // through this code. A legitimate change to the model's arithmetic must
+  // re-record these constants and say why.
+  struct Golden {
+    Doc2VecEmbedder::Mode mode;
+    uint64_t save_hash;
+    uint64_t embed_hash;
+  };
+  const Golden goldens[] = {
+      {Doc2VecEmbedder::Mode::kDm, 0x009d08265a795686ULL,
+       0x722a3c39636d9132ULL},
+      {Doc2VecEmbedder::Mode::kDbow, 0xc9c66b9c9bc2450aULL,
+       0x4289aff23cf8aefbULL},
+  };
+  const auto corpus = GoldenCorpus(120, 31);
+  // Half of the probes are training documents, half unseen ones (which
+  // also carry words absent from the vocabulary).
+  auto probes = GoldenCorpus(25, 31);
+  for (auto& doc : GoldenCorpus(25, 77)) {
+    doc.push_back("never_seen");
+    probes.push_back(doc);
+  }
+  for (const Golden& golden : goldens) {
+    Doc2VecEmbedder::Options options = SmallOptions(golden.mode);
+    options.epochs = 4;
+    options.min_count = 2;
+    Doc2VecEmbedder embedder(options);
+    ASSERT_TRUE(embedder.Train(corpus).ok());
+    std::stringstream ss;
+    ASSERT_TRUE(embedder.Save(ss).ok());
+    std::vector<nn::Vec> embedded;
+    for (const auto& doc : probes) embedded.push_back(embedder.Embed(doc));
+    EXPECT_EQ(util::Fnv1a64(ss.str()), golden.save_hash)
+        << embedder.name();
+    EXPECT_EQ(HashVectors(embedded), golden.embed_hash) << embedder.name();
+  }
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include "embed/vocab.h"
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -96,6 +99,91 @@ TEST(VocabTest, LoadRejectsGarbage) {
   std::stringstream ss("not a vocab");
   Vocabulary v;
   EXPECT_FALSE(Vocabulary::Load(ss, &v).ok());
+}
+
+/// SampleNegative must return exactly what a binary search over the
+/// unigram^0.75 CDF returns, draw for draw, from the same RNG stream: the
+/// sampler's lookup structure is a speed choice, never a change to the
+/// negatives Doc2Vec and the LSTM autoencoder train on.
+void ExpectSamplerMatchesLowerBound(const Vocabulary& v, uint64_t seed) {
+  std::vector<double> cdf(v.size());
+  double acc = 0.0;
+  for (size_t i = 0; i < v.size(); ++i) {
+    acc += std::pow(static_cast<double>(v.Count(i)), 0.75);
+    cdf[i] = acc;
+  }
+  ASSERT_GT(acc, 0.0);
+  for (double& c : cdf) c /= acc;
+
+  util::Rng sampler(seed);
+  util::Rng reference(seed);
+  size_t mismatches = 0;
+  for (int i = 0; i < 120000; ++i) {
+    const double u = reference.UniformDouble();
+    const size_t want = static_cast<size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    if (v.SampleNegative(sampler) != want) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // Both streams consumed exactly one draw per sample.
+  EXPECT_EQ(sampler.NextUint64(), reference.NextUint64());
+}
+
+/// `n` words where word i occurs count(i) times.
+Vocabulary VocabWithCounts(size_t n, size_t (*count)(size_t)) {
+  std::vector<std::vector<std::string>> docs(1);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = count(i); c > 0; --c) {
+      docs[0].push_back("w" + std::to_string(i));
+    }
+  }
+  return Vocabulary::Build(docs);
+}
+
+TEST(VocabTest, SamplerMatchesLowerBoundWithZeroCountSpecials) {
+  ExpectSamplerMatchesLowerBound(Vocabulary::Build(Corpus()), 1);
+  // min_count folding gives <unk> a nonzero count.
+  ExpectSamplerMatchesLowerBound(Vocabulary::Build(Corpus(), 2), 2);
+}
+
+TEST(VocabTest, SamplerMatchesLowerBoundWithOneRealWord) {
+  Vocabulary v = Vocabulary::Build({{"only"}});
+  ASSERT_EQ(v.size(), 4u);
+  ExpectSamplerMatchesLowerBound(v, 3);
+}
+
+TEST(VocabTest, SamplerMatchesLowerBoundWithTiedCounts) {
+  ExpectSamplerMatchesLowerBound(
+      VocabWithCounts(500, [](size_t) -> size_t { return 3; }), 4);
+  // Ties in runs of varying length.
+  ExpectSamplerMatchesLowerBound(
+      VocabWithCounts(997, [](size_t i) -> size_t { return 1 + i / 100; }),
+      5);
+}
+
+Vocabulary LargeZipfVocab() {
+  return VocabWithCounts(
+      12000, [](size_t i) -> size_t { return 1 + 3000 / (i + 1); });
+}
+
+TEST(VocabTest, SamplerMatchesLowerBoundOnLargeVocabulary) {
+  Vocabulary v = LargeZipfVocab();
+  ASSERT_GE(v.size(), 12000u);
+  ExpectSamplerMatchesLowerBound(v, 6);
+}
+
+TEST(VocabTest, SamplerMatchesLowerBoundAfterSaveLoad) {
+  Vocabulary v = LargeZipfVocab();
+  std::stringstream ss;
+  ASSERT_TRUE(v.Save(ss).ok());
+  Vocabulary loaded;
+  ASSERT_TRUE(Vocabulary::Load(ss, &loaded).ok());
+  ExpectSamplerMatchesLowerBound(loaded, 7);
+  util::Rng a(8);
+  util::Rng b(8);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(loaded.SampleNegative(a), v.SampleNegative(b));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "nn/softmax.h"
 
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -88,13 +89,14 @@ TEST(NegativeSamplingTest, StepReducesLossOnRepetition) {
   for (auto& v : context) v = rng.UniformDouble(-0.5, 0.5);
   std::vector<size_t> negatives = {3, 4, 5};
   Vec d_context;
-  double first =
-      NegativeSamplingStep(context.data(), 6, 1, negatives, out, 0.5,
-                           d_context);
+  double first = 0.0;
+  NegativeSamplingStep(context.data(), 6, 1, negatives, out, 0.5, d_context,
+                       &first);
   // Apply the context update as the caller would.
   Axpy(-0.5, d_context, context);
-  double second = NegativeSamplingStep(context.data(), 6, 1, negatives, out,
-                                       0.5, d_context);
+  double second = 0.0;
+  NegativeSamplingStep(context.data(), 6, 1, negatives, out, 0.5, d_context,
+                       &second);
   EXPECT_LT(second, first);
 }
 
@@ -105,8 +107,8 @@ TEST(NegativeSamplingTest, FrozenOutputTableUnchanged) {
   Vec before = out.value();
   Vec context = {0.1, 0.2, 0.3, 0.4};
   Vec d_context;
-  NegativeSamplingStep(context.data(), 4, 0, {1, 2}, out, 0.1, d_context,
-                       /*update_output=*/false);
+  NegativeSamplingStep(context.data(), 4, 0, {1, 2}, std::as_const(out),
+                       d_context);
   EXPECT_EQ(out.value(), before);
   // But the context gradient is still produced.
   double mag = 0.0;
@@ -121,10 +123,45 @@ TEST(NegativeSamplingTest, TargetCollidingNegativeSkipped) {
   Vec d_context;
   // All negatives equal the target: only the positive term contributes;
   // must not blow up or double-count.
-  double loss = NegativeSamplingStep(context.data(), 3, 2, {2, 2, 2}, out,
-                                     0.1, d_context);
+  double loss = 0.0;
+  NegativeSamplingStep(context.data(), 3, 2, {2, 2, 2}, out, 0.1, d_context,
+                       &loss);
   // Positive pair with zero-initialized output row: loss = -log(0.5).
   EXPECT_NEAR(loss, std::log(2.0), 1e-9);
+}
+
+TEST(NegativeSamplingTest, LossIsOnlyARequest) {
+  // Asking for the loss must not change the gradient or the table update,
+  // and the loss is added to what the caller already holds.
+  util::Rng rng(17);
+  Tensor with_loss(6, 5);
+  with_loss.XavierInit(rng);
+  Tensor without_loss = with_loss;
+  Vec context = {0.2, -0.1, 0.4, 0.05, -0.3};
+  const std::vector<size_t> negatives = {0, 3, 3, 5};
+  Vec d_with;
+  Vec d_without;
+  double loss = 1.5;
+  NegativeSamplingStep(context.data(), 5, 2, negatives, with_loss, 0.2,
+                       d_with, &loss);
+  NegativeSamplingStep(context.data(), 5, 2, negatives, without_loss, 0.2,
+                       d_without);
+  EXPECT_EQ(d_with, d_without);
+  EXPECT_EQ(with_loss.value(), without_loss.value());
+  EXPECT_GT(loss, 1.5);
+
+  // With distinct rows, the frozen step yields the training step's
+  // gradient from the same starting table (each row is read before its
+  // own update).
+  const Tensor frozen = without_loss;
+  Vec d_frozen;
+  NegativeSamplingStep(context.data(), 5, 2, {0, 3}, frozen, d_frozen);
+  Tensor trained = frozen;
+  Vec d_trained;
+  NegativeSamplingStep(context.data(), 5, 2, {0, 3}, trained, 0.2,
+                       d_trained);
+  EXPECT_EQ(d_frozen, d_trained);
+  EXPECT_NE(trained.value(), frozen.value());
 }
 
 }  // namespace
