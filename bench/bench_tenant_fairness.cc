@@ -104,7 +104,6 @@ RunResult RunScenario(bool isolation, size_t victim_queries) {
   options.num_shards = 2;
   options.partition = QWorkerPool::Partition::kRoundRobin;
   options.max_in_flight = 16;
-  options.shed_policy = QWorkerPool::ShedPolicy::kRejectNew;
   if (isolation) {
     options.enable_tenant_admission = true;
     // Victims effectively unmetered; the aggressor gets a tight bucket,

@@ -91,11 +91,8 @@ int main() {
   // --- per-application workers; X is sharded, gets user + cluster ---
   core::QWorkerPool::Options pool_options;
   pool_options.application = "X";
-  // Shard count follows the machine (capped: the demo stream is small),
-  // and the owned pool pins its workers so each shard's embed -> classify
-  // -> sink chain stays cache-local.
+  // Shard count follows the machine (capped: the demo stream is small).
   pool_options.num_shards = std::min<size_t>(4, util::DefaultThreadCount());
-  pool_options.pin_shards = true;
   pool_options.partition = core::QWorkerPool::Partition::kByUser;
   core::QWorkerPool pool_x(pool_options);
   core::QWorker worker_y({.application = "Y"});

@@ -48,8 +48,7 @@ struct TenantAdmissionOptions {
   /// Per-account overrides (quota and/or fair-share weight).
   std::map<std::string, TenantQuota> tenants;
   /// Policy label stamped on this controller's querc_shed_total series;
-  /// the pool passes its ShedPolicy name so the series composes with the
-  /// pre-tenant {policy} series.
+  /// the default matches the pool's own {policy="reject_new"} series.
   std::string policy_label = "reject_new";
   /// Soft bound on tracked per-account states. Past it, inserting a new
   /// account evicts the least-recently-active tenant with nothing in

@@ -211,7 +211,6 @@ NoisyNeighborReport RunNoisyNeighborDrill(
   pool_options.num_shards = std::max<size_t>(1, options.num_shards);
   pool_options.partition = QWorkerPool::Partition::kRoundRobin;
   pool_options.max_in_flight = options.max_in_flight;
-  pool_options.shed_policy = QWorkerPool::ShedPolicy::kRejectNew;
   pool_options.enable_tenant_admission = true;
   pool_options.admission.default_quota.burst = options.quota_burst;
   pool_options.admission.default_quota.rate_per_sec =
@@ -456,7 +455,6 @@ ChaosReport RunChaosSoak(const ChaosOptions& options) {
   // could starve a shard and stall its recovery).
   pool_options.partition = QWorkerPool::Partition::kRoundRobin;
   pool_options.max_in_flight = options.max_in_flight;
-  pool_options.shed_policy = QWorkerPool::ShedPolicy::kRejectNew;
   pool_options.worker.enable_lint = true;
   pool_options.worker.deadline_ms = options.deadline_ms;
   // A soak-friendly breaker: trips on few samples, cools down quickly.

@@ -14,6 +14,22 @@ namespace querc::core {
 
 namespace {
 
+/// Resident per-tenant sink breakers per sink (evict-least, closed-first;
+/// see TenantBreakerMap).
+constexpr size_t kTenantBreakerCap = 64;
+
+/// Under a deadline, lint stands down once less than this fraction of the
+/// budget remains.
+constexpr double kLintMinDeadlineFraction = 0.5;
+
+/// A standalone worker's private embedding cache; null when disabled.
+std::shared_ptr<embed::EmbeddingCache> OwnEmbedCache(size_t capacity) {
+  if (capacity == 0) return nullptr;
+  embed::EmbeddingCache::Options options;
+  options.capacity = capacity;
+  return std::make_shared<embed::EmbeddingCache>(options);
+}
+
 /// Registry metrics shared by every worker; resolved once, then the hot
 /// path touches only their atomics (no registry mutex, no lock).
 obs::Histogram& GlobalProcessHistogram() {
@@ -172,17 +188,22 @@ void LintTemplateStats::Merge(const LintTemplateStats& other) {
 }
 
 QWorker::QWorker(const Options& options)
+    : QWorker(options, OwnEmbedCache(options.embed_cache_capacity)) {}
+
+QWorker::QWorker(const Options& options,
+                 std::shared_ptr<embed::EmbeddingCache> embed_cache)
     : options_(options),
       sink_retry_(options.sink_retry),
       retry_budget_(options.retry_budget),
-      lint_templates_(LintAggregatorOptions(options.lint_template_cap)) {
+      lint_templates_(LintAggregatorOptions(options.lint_template_cap)),
+      embed_cache_(std::move(embed_cache)) {
   classifiers_.store(std::make_shared<const ClassifierMap>());
   fallbacks_.store(std::make_shared<const ClassifierMap>());
   task_breakers_.store(std::make_shared<const BreakerMap>());
   if (options_.enable_breakers && options_.per_tenant_sink_breakers) {
     TenantBreakerMap::Options tenant;
     tenant.breaker = options_.breaker;
-    tenant.capacity = options_.tenant_breaker_cap;
+    tenant.capacity = kTenantBreakerCap;
     tenant.name_prefix = options_.application + ":sink_database";
     database_tenant_breakers_ = std::make_unique<TenantBreakerMap>(tenant);
     tenant.name_prefix = options_.application + ":sink_training";
@@ -192,12 +213,6 @@ QWorker::QWorker(const Options& options)
         options_.application + ":sink_database", options_.breaker);
     training_breaker_ = std::make_unique<CircuitBreaker>(
         options_.application + ":sink_training", options_.breaker);
-  }
-  if (options_.embed_cache_capacity > 0) {
-    embed::EmbeddingCache::Options cache_options;
-    cache_options.capacity = options_.embed_cache_capacity;
-    cache_options.shards = options_.embed_cache_shards;
-    embed_cache_ = std::make_unique<embed::EmbeddingCache>(cache_options);
   }
   // Resolve one hit counter per lint rule up front; registration takes the
   // registry mutex, but Process then increments plain atomics.
@@ -509,7 +524,7 @@ ProcessedQuery QWorker::Process(const workload::LabeledQuery& query) {
     // stand down.
     if (out.deadline_exceeded ||
         deadline.RemainingMs() <
-            options_.lint_min_deadline_fraction * options_.deadline_ms) {
+            kLintMinDeadlineFraction * options_.deadline_ms) {
       run_lint = false;
       LintAutodisabledCounter().Increment();
     }

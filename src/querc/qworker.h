@@ -134,19 +134,18 @@ class QWorker {
     /// Template-keyed embedding cache capacity (entries); 0 disables the
     /// cache entirely (every query re-runs inference). Keys are the
     /// normalized fingerprints the embedders consume, so cached vectors
-    /// are bit-identical to recomputed ones — see DESIGN.md §12.
+    /// are bit-identical to recomputed ones — see DESIGN.md §12. Under a
+    /// QWorkerPool this is a per-shard budget: the pool's one shared
+    /// cache holds num_shards × this many entries.
     size_t embed_cache_capacity = 4096;
-    /// Lock shards for the embedding cache (rounded to a power of two).
-    size_t embed_cache_shards = 8;
 
     /// Wall-clock budget for one Process call in milliseconds; 0 =
     /// unlimited. On expiry the remaining classifiers are skipped and the
     /// query is forwarded with partial predictions
     /// (querc_deadline_exceeded_total).
+    /// Under a deadline, lint is auto-disabled once less than half of
+    /// the budget remains (querc_lint_autodisabled_total).
     double deadline_ms = 0.0;
-    /// Under a deadline, lint is auto-disabled once less than this
-    /// fraction of the budget remains (querc_lint_autodisabled_total).
-    double lint_min_deadline_fraction = 0.5;
     /// Sink retry schedule (capped exponential backoff, decorrelated
     /// jitter). Attempts beyond the first also consume the worker's
     /// retry budget, so retries cannot amplify an outage.
@@ -163,10 +162,9 @@ class QWorker {
     /// sink trips only that tenant's breaker while every other tenant
     /// keeps flowing. Task breakers stay per task — a classifier fault
     /// is model health, not tenant behavior. Requires enable_breakers.
-    bool per_tenant_sink_breakers = false;
-    /// Bound on resident per-tenant sink breakers per sink (evict-least,
+    /// At most 64 tenant breakers stay resident per sink (evict-least,
     /// closed-first; see TenantBreakerMap).
-    size_t tenant_breaker_cap = 64;
+    bool per_tenant_sink_breakers = false;
   };
 
   using DatabaseSink = std::function<void(const workload::LabeledQuery&)>;
@@ -176,7 +174,15 @@ class QWorker {
   using BreakerMap =
       std::map<std::string, std::shared_ptr<CircuitBreaker>>;
 
+  /// Builds a private embedding cache of `embed_cache_capacity` entries
+  /// (none when 0).
   explicit QWorker(const Options& options);
+
+  /// Uses `embed_cache` (shared with other workers, e.g. a pool's shards;
+  /// null = no cache) instead of building one: `embed_cache_capacity` is
+  /// ignored.
+  QWorker(const Options& options,
+          std::shared_ptr<embed::EmbeddingCache> embed_cache);
 
   /// Installs (or replaces) a classifier under its task name. Deployment
   /// of retrained models is an atomic snapshot swap; in-flight queries
@@ -269,13 +275,8 @@ class QWorker {
   /// The lint engine this worker runs (builtin rules, worker dialect).
   const sql::lint::LintEngine& lint_engine() const { return lint_engine_; }
 
-  /// Counters for this worker's template-keyed embedding cache (all zeros
-  /// when the cache is disabled via embed_cache_capacity = 0).
-  embed::EmbedCacheStats embed_cache_stats() const {
-    return embed_cache_ ? embed_cache_->Stats() : embed::EmbedCacheStats{};
-  }
-
-  /// The worker's embedding cache, or null when disabled.
+  /// The worker's embedding cache (shared with its pool's other shards),
+  /// or null when disabled.
   embed::EmbeddingCache* embed_cache() const { return embed_cache_.get(); }
 
  private:
@@ -337,7 +338,7 @@ class QWorker {
 
   /// Template-keyed embedding cache for the once-per-query shared
   /// embedding fast path; null when disabled. Thread-safe internally.
-  std::unique_ptr<embed::EmbeddingCache> embed_cache_;
+  std::shared_ptr<embed::EmbeddingCache> embed_cache_;
 };
 
 }  // namespace querc::core

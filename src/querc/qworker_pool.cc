@@ -27,21 +27,13 @@ obs::Counter& BatchCounter() {
   return counter;
 }
 
-obs::Counter& ShedCounterSlow(const char* policy) {
-  return obs::MetricsRegistry::Global().GetCounter(
-      "querc_shed_total", {{"policy", policy}},
+/// Cached in a function-local static: under overload every rejected
+/// query lands here, which is exactly when the registry mutex must not be
+/// on the path.
+obs::Counter& ShedCounter() {
+  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
+      "querc_shed_total", {{"policy", "reject_new"}},
       "Queries shed at pool admission, per shed policy");
-}
-
-/// Both shed-policy series cached in function-local statics: under
-/// overload every rejected query lands here, which is exactly when the
-/// registry mutex must not be on the path.
-obs::Counter& ShedCounter(QWorkerPool::ShedPolicy policy) {
-  if (policy == QWorkerPool::ShedPolicy::kRejectNew) {
-    static obs::Counter& counter = ShedCounterSlow("reject_new");
-    return counter;
-  }
-  static obs::Counter& counter = ShedCounterSlow("drop_oldest");
   return counter;
 }
 
@@ -78,12 +70,6 @@ QWorkerPool::QWorkerPool(const Options& options,
     : options_(options) {
   if (options_.num_shards == 0) options_.num_shards = 1;
   if (options_.enable_tenant_admission) {
-    // The controller stamps this pool's policy on its per-account
-    // querc_shed_total series so the label set stays consistent with the
-    // pre-tenant {policy} series.
-    options_.admission.policy_label =
-        options_.shed_policy == ShedPolicy::kRejectNew ? "reject_new"
-                                                       : "drop_oldest";
     admission_ =
         std::make_unique<TenantAdmissionController>(options_.admission);
   }
@@ -93,17 +79,25 @@ QWorkerPool::QWorkerPool(const Options& options,
         options_.threads != 0
             ? options_.threads
             : std::min(options_.num_shards, util::DefaultThreadCount());
-    pool_options.pin_threads = options_.pin_shards;
     owned_pool_ = std::make_unique<util::ThreadPool>(pool_options);
     pool_ = owned_pool_.get();
   } else {
     pool_ = thread_pool;
   }
+  if (options_.worker.embed_cache_capacity > 0) {
+    // One cache for the whole pool: the capacity is a per-shard budget,
+    // so the memory bound matches N private caches, but a template is
+    // embedded once however the partition spreads it.
+    embed::EmbeddingCache::Options cache_options;
+    cache_options.capacity =
+        options_.num_shards * options_.worker.embed_cache_capacity;
+    embed_cache_ = std::make_shared<embed::EmbeddingCache>(cache_options);
+  }
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     QWorker::Options worker = options_.worker;
     worker.application = options_.application + "/" + std::to_string(s);
-    shards_.push_back(std::make_unique<QWorker>(worker));
+    shards_.push_back(std::make_unique<QWorker>(worker, embed_cache_));
   }
 }
 
@@ -201,11 +195,9 @@ ProcessedQuery QWorkerPool::MakeShedMarker(
 
 ProcessedQuery QWorkerPool::MakeShed(const workload::LabeledQuery& query) {
   ProcessedQuery shed = MakeShedMarker(query);
-  ShedCounter(options_.shed_policy).Increment();
-  obs::FlightRecorder::Global().RecordInstant(
-      obs::EventKind::kShed,
-      options_.shed_policy == ShedPolicy::kRejectNew ? "reject_new"
-                                                     : "drop_oldest");
+  ShedCounter().Increment();
+  obs::FlightRecorder::Global().RecordInstant(obs::EventKind::kShed,
+                                              "reject_new");
   return shed;
 }
 
@@ -272,45 +264,23 @@ std::vector<ProcessedQuery> QWorkerPool::ProcessBatch(
     }
     // Stage 3 — the global reservation. It can still grant less than the
     // controller allocated when a concurrent batch raced the capacity
-    // estimate; the overflow is shed per policy over the admitted subset
+    // estimate; the overflow — the newest admitted queries — is shed
     // (reason=global), markers still at their original positions.
     size_t granted = TryAcquireSlots(admitted_idx.size());
-    if (granted < admitted_idx.size()) {
-      size_t overflow = admitted_idx.size() - granted;
-      size_t drop_begin =
-          options_.shed_policy == ShedPolicy::kRejectNew ? granted : 0;
-      std::vector<size_t> kept;
-      kept.reserve(granted);
-      for (size_t k = 0; k < admitted_idx.size(); ++k) {
-        size_t i = admitted_idx[k];
-        if (k >= drop_begin && k < drop_begin + overflow) {
-          admission_->OnGlobalShed(batch[i].account);
-          out[i] = MakeShedMarker(batch[i]);
-        } else {
-          kept.push_back(i);
-        }
-      }
-      admitted_idx.swap(kept);
+    for (size_t k = granted; k < admitted_idx.size(); ++k) {
+      size_t i = admitted_idx[k];
+      admission_->OnGlobalShed(batch[i].account);
+      out[i] = MakeShedMarker(batch[i]);
     }
+    admitted_idx.resize(granted);
   } else {
-    // Legacy global-only admission: reserve as many slots as fit, shed
-    // the contiguous rest per policy (kRejectNew sheds the tail = the
-    // newest arrivals; kDropOldest sheds the head = the oldest).
+    // Global-only admission: reserve as many slots as fit and shed the
+    // rest, the batch's tail (the newest arrivals).
     size_t admitted = TryAcquireSlots(batch.size());
-    size_t first = 0;  // first admitted index
-    size_t last = batch.size();  // one past the last admitted index
-    if (admitted < batch.size()) {
-      if (options_.shed_policy == ShedPolicy::kRejectNew) {
-        last = admitted;
-        for (size_t i = last; i < batch.size(); ++i) {
-          out[i] = MakeShed(batch[i]);
-        }
-      } else {
-        first = batch.size() - admitted;
-        for (size_t i = 0; i < first; ++i) out[i] = MakeShed(batch[i]);
-      }
+    for (size_t i = 0; i < admitted; ++i) admitted_idx.push_back(i);
+    for (size_t i = admitted; i < batch.size(); ++i) {
+      out[i] = MakeShed(batch[i]);
     }
-    for (size_t i = first; i < last; ++i) admitted_idx.push_back(i);
   }
   if (admitted_idx.empty()) {
     BatchHistogram().Record(timer.ElapsedMillis());
@@ -396,7 +366,6 @@ std::vector<ShardStats> QWorkerPool::Stats(size_t lint_top_n) const {
     one.lint_diagnostics = shards_[s]->lint_diagnostic_count();
     one.lint_templates_dropped = shards_[s]->lint_templates_dropped();
     one.top_offending_templates = shards_[s]->TopOffendingTemplates(lint_top_n);
-    one.embed_cache = shards_[s]->embed_cache_stats();
     stats.push_back(one);
   }
   return stats;
@@ -466,11 +435,7 @@ obs::HistogramSnapshot QWorkerPool::MergedLatency() const {
 }
 
 embed::EmbedCacheStats QWorkerPool::MergedEmbedCacheStats() const {
-  embed::EmbedCacheStats merged;
-  for (const auto& shard : shards_) {
-    merged.Merge(shard->embed_cache_stats());
-  }
-  return merged;
+  return embed_cache_ ? embed_cache_->Stats() : embed::EmbedCacheStats{};
 }
 
 }  // namespace querc::core

@@ -28,9 +28,6 @@ struct ShardStats {
   size_t lint_templates_dropped = 0;
   /// The shard's worst templates by lint diagnostics (bounded top-N).
   std::vector<LintTemplateStats> top_offending_templates;
-  /// This shard's template-keyed embedding cache counters (all zeros when
-  /// the cache is disabled).
-  embed::EmbedCacheStats embed_cache;
 };
 
 /// Sharded, thread-safe QWorker service layer: the paper's remark that
@@ -42,6 +39,8 @@ struct ShardStats {
 /// shard. Deployments apply to every shard; each shard's classifier set
 /// is an immutable snapshot (see QWorker), so Deploy/Undeploy can race
 /// Process/ProcessBatch safely and every query sees a consistent set.
+/// All shards share one embedding cache, so a template is embedded once
+/// per pool however the partition spreads it (DESIGN.md §12).
 class QWorkerPool {
  public:
   /// How queries are assigned to shards.
@@ -51,32 +50,21 @@ class QWorkerPool {
     kRoundRobin  ///< ignore identity, spread uniformly
   };
 
-  /// What happens to queries that do not fit under `max_in_flight`.
-  enum class ShedPolicy {
-    kRejectNew,   ///< shed the newest queries (tail of the batch)
-    kDropOldest,  ///< shed the oldest queries (head of the batch)
-  };
-
   struct Options {
     std::string application;
     size_t num_shards = 4;
     /// Threads in the owned pool (ignored when a shared `thread_pool` is
     /// passed). 0 = one thread per shard, capped to the machine's cpu
-    /// count (util::Topology) — extra threads past the cpus only add
-    /// queueing interference.
+    /// count (util::DefaultThreadCount()) — extra threads past the cpus
+    /// only add queueing interference.
     size_t threads = 0;
-    /// Pin the owned pool's workers to cpus in topology order so a
-    /// query's embed→classify→sink chain stays cache-local on its shard's
-    /// worker. Best-effort (restricted containers degrade to unpinned);
-    /// ignored when a shared `thread_pool` is passed.
-    bool pin_shards = false;
     Partition partition = Partition::kByAccount;
     /// Bounded admission: at most this many queries may be in flight
-    /// across the pool at once; the overflow is *shed* — returned
-    /// immediately with status ResourceExhausted and `shed = true`, never
-    /// silently dropped. 0 = unbounded (no admission control).
+    /// across the pool at once; the overflow — the newest queries — is
+    /// *shed*: returned immediately with status ResourceExhausted and
+    /// `shed = true`, never silently dropped (querc_shed_total
+    /// {policy="reject_new"}). 0 = unbounded (no admission control).
     size_t max_in_flight = 0;
-    ShedPolicy shed_policy = ShedPolicy::kRejectNew;
     /// Tenant-isolation admission stage ahead of the global slot bound
     /// (DESIGN.md §16): per-account token-bucket quotas, then a
     /// weighted-fair split of the free capacity with a guaranteed
@@ -84,11 +72,12 @@ class QWorkerPool {
     /// (in place, ResourceExhausted, `shed = true`) and gain the
     /// account + reason dimensions on querc_shed_total and the journal.
     bool enable_tenant_admission = false;
-    /// Quotas/weights per account (admission.policy_label is overwritten
-    /// with this pool's shed_policy name).
+    /// Quotas/weights per account.
     TenantAdmissionOptions admission;
     /// Per-shard QWorker settings. `worker.application` is derived from
-    /// `application` plus the shard index (e.g. "appX/3").
+    /// `application` plus the shard index (e.g. "appX/3"), and the shared
+    /// embedding cache holds num_shards × `worker.embed_cache_capacity`
+    /// entries.
     QWorker::Options worker;
   };
 
@@ -166,8 +155,8 @@ class QWorkerPool {
   /// snapshot, so service-level percentiles reflect all shards.
   obs::HistogramSnapshot MergedLatency() const;
 
-  /// Service-wide embedding-cache counters: every shard's cache summed
-  /// (hit_ratio() of the merged view is the pool-level hit ratio).
+  /// The pool's one embedding cache's counters (all zeros when the cache
+  /// is disabled).
   embed::EmbedCacheStats MergedEmbedCacheStats() const;
 
   /// Every breaker across all shards with its current state (shard order,
@@ -218,6 +207,8 @@ class QWorkerPool {
   std::unique_ptr<util::ThreadPool> owned_pool_;
   util::ThreadPool* pool_;  // never null
   std::vector<std::unique_ptr<QWorker>> shards_;
+  /// Shared by every shard; null when the cache is disabled.
+  std::shared_ptr<embed::EmbeddingCache> embed_cache_;
   std::atomic<uint64_t> round_robin_{0};
   std::atomic<size_t> in_flight_{0};
   std::atomic<size_t> shed_count_{0};

@@ -180,7 +180,7 @@ ThreadPool::ThreadPool(const Options& options) : options_(options) {
                                        : DefaultThreadCount();
   threads_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    threads_.push_back(SpawnThread("querc-pool", [this, i] { WorkerLoop(i); }));
+    threads_.push_back(SpawnThread("querc-pool", [this] { WorkerLoop(); }));
   }
 }
 
@@ -380,13 +380,7 @@ void ThreadPool::PurgeBatch(const void* tag) {
   if (queued_total_ == 0 && active_ == 0) idle_cv_.NotifyAll();
 }
 
-void ThreadPool::WorkerLoop(size_t worker_index) {
-  if (options_.pin_threads) {
-    const Topology& topo =
-        options_.topology != nullptr ? *options_.topology : Topology::System();
-    // Best-effort: a restricted container just leaves the worker unpinned.
-    PinCurrentThreadToCpu(topo.cpus[worker_index % topo.num_cpus()].id);
-  }
+void ThreadPool::WorkerLoop() {
   for (;;) {
     QueuedTask task;
     {

@@ -71,7 +71,7 @@ class ThreadPool {
   static constexpr int64_t kNoDeadline = std::numeric_limits<int64_t>::max();
 
   struct Options {
-    /// Worker count; 0 = topology default (DefaultThreadCount()).
+    /// Worker count; 0 = DefaultThreadCount().
     size_t num_threads = 0;
     /// Per-lane queue bound; 0 = unbounded. Overflow = caller-runs.
     size_t lane_capacity = 0;
@@ -82,13 +82,6 @@ class ThreadPool {
     double escalation_ms = 1.0;
     /// Injectable clock for deadline math (tests); null = steady clock.
     ClockFn clock;
-    /// Pin worker i to System() (or `topology`) cpu i mod num_cpus, in
-    /// topology order, so a pool sized to the machine gets one worker
-    /// per logical cpu and fan-out tasks stay cache-local. Best-effort:
-    /// pinning failure degrades to an unpinned worker.
-    bool pin_threads = false;
-    /// Topology used for pinning; null = Topology::System().
-    const Topology* topology = nullptr;
   };
 
   /// Per-task scheduling parameters for Submit/ParallelFor.
@@ -99,7 +92,7 @@ class ThreadPool {
   };
 
   /// Legacy constructor: `num_threads` workers (0 clamped to 1, NOT the
-  /// topology default — callers wanting machine sizing pass Options or
+  /// machine default — callers wanting machine sizing pass Options or
   /// DefaultThreadCount()).
   explicit ThreadPool(size_t num_threads);
 
@@ -177,7 +170,7 @@ class ThreadPool {
   void PopAccountingLocked(const QueuedTask& task) REQUIRES(mu_);
   /// Removes still-queued helpers of the drained batch `tag`.
   void PurgeBatch(const void* tag) EXCLUDES(mu_);
-  void WorkerLoop(size_t worker_index) EXCLUDES(mu_);
+  void WorkerLoop() EXCLUDES(mu_);
 
   Options options_;
   mutable Mutex mu_{LockRank::kThreadPool, "threadpool.mu"};

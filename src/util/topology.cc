@@ -1,165 +1,16 @@
 #include "util/topology.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <fstream>
-#include <set>
-#include <sstream>
 #include <utility>
 
 #if defined(__linux__)
 #include <pthread.h>
-#include <sched.h>
 #endif
 
 namespace querc::util {
 
-namespace {
-
-/// Reads one small sysfs file into `out`; false if unreadable.
-bool ReadSysfsFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in.is_open()) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return in.good() || in.eof();
-}
-
-/// Parses a whole non-negative integer out of `s` (leading whitespace
-/// ok); false on anything else.
-bool ParseInt(const std::string& s, int* out) {
-  const char* p = s.c_str();
-  char* end = nullptr;
-  long v = std::strtol(p, &end, 10);
-  if (end == p || v < 0) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-}  // namespace
-
-std::vector<int> ParseCpuList(const std::string& text) {
-  std::vector<int> cpus;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    // Trim whitespace/newlines sysfs appends.
-    while (!item.empty() && (item.back() == '\n' || item.back() == ' ' ||
-                             item.back() == '\r')) {
-      item.pop_back();
-    }
-    size_t start = item.find_first_not_of(" \t");
-    if (start == std::string::npos) continue;
-    item = item.substr(start);
-    size_t dash = item.find('-');
-    int lo = 0;
-    int hi = 0;
-    if (dash == std::string::npos) {
-      if (!ParseInt(item, &lo)) continue;
-      hi = lo;
-    } else {
-      if (!ParseInt(item.substr(0, dash), &lo) ||
-          !ParseInt(item.substr(dash + 1), &hi) || hi < lo) {
-        continue;
-      }
-    }
-    // Defensive cap: a corrupt range must not allocate the universe.
-    if (hi - lo > 4096) continue;
-    for (int id = lo; id <= hi; ++id) cpus.push_back(id);
-  }
-  std::sort(cpus.begin(), cpus.end());
-  cpus.erase(std::unique(cpus.begin(), cpus.end()), cpus.end());
-  return cpus;
-}
-
-size_t Topology::num_cores() const {
-  std::set<std::pair<int, int>> cores;
-  for (const Cpu& cpu : cpus) cores.emplace(cpu.node, cpu.core);
-  return cores.size();
-}
-
-size_t Topology::num_nodes() const {
-  std::set<int> nodes;
-  for (const Cpu& cpu : cpus) nodes.insert(cpu.node);
-  return nodes.size();
-}
-
-std::vector<int> Topology::CpusOfNode(int node) const {
-  std::vector<int> out;
-  for (const Cpu& cpu : cpus) {
-    if (cpu.node == node) out.push_back(cpu.id);
-  }
-  return out;
-}
-
-Topology Topology::Flat(size_t n) {
-  if (n == 0) n = 1;
-  Topology topo;
-  topo.cpus.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Cpu cpu;
-    cpu.id = static_cast<int>(i);
-    cpu.core = static_cast<int>(i);
-    cpu.node = 0;
-    topo.cpus.push_back(cpu);
-  }
-  return topo;
-}
-
-Topology Topology::Detect() {
+size_t DefaultThreadCount() {
   size_t n = std::thread::hardware_concurrency();
-  Topology topo = Flat(n);  // Flat applies the 0 guard
-#if defined(__linux__)
-  // Core ids: cache/SMT siblings share topology/core_id. Partial reads
-  // are fine — unread cpus keep their flat (unique) core id.
-  for (Cpu& cpu : topo.cpus) {
-    std::string text;
-    if (ReadSysfsFile("/sys/devices/system/cpu/cpu" +
-                          std::to_string(cpu.id) + "/topology/core_id",
-                      &text)) {
-      int core = 0;
-      if (ParseInt(text, &core)) cpu.core = core;
-    }
-  }
-  // NUMA nodes: nodeK/cpulist lists the logical cpus on node K. Node
-  // directories can be sparse; probe a bounded range and stop caring
-  // beyond it. Cpus on no listed node stay on node 0.
-  for (int node = 0; node < 64; ++node) {
-    std::string text;
-    if (!ReadSysfsFile("/sys/devices/system/node/node" +
-                           std::to_string(node) + "/cpulist",
-                       &text)) {
-      continue;
-    }
-    for (int id : ParseCpuList(text)) {
-      for (Cpu& cpu : topo.cpus) {
-        if (cpu.id == id) cpu.node = node;
-      }
-    }
-  }
-#endif
-  return topo;
-}
-
-const Topology& Topology::System() {
-  static const Topology topo = Detect();
-  return topo;
-}
-
-size_t DefaultThreadCount() { return Topology::System().num_cpus(); }
-
-bool PinCurrentThreadToCpu(int cpu) {
-#if defined(__linux__)
-  if (cpu < 0 || cpu >= CPU_SETSIZE) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(cpu), &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
+  return n == 0 ? 1 : n;
 }
 
 std::thread SpawnThread(const char* name, std::function<void()> fn) {

@@ -3,71 +3,13 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 #include <thread>
-#include <vector>
 
 namespace querc::util {
 
-/// CPU topology of the machine (DESIGN.md §17): logical cpus, which
-/// physical core each belongs to (SMT/cache siblings share a core id),
-/// and which NUMA node. Detection reads Linux sysfs and degrades
-/// gracefully — any parse failure, non-Linux platform, or restricted
-/// container yields a flat single-node topology sized by
-/// hardware_concurrency (with the 0 guard), so callers can always trust
-/// the invariants: at least one cpu, every cpu has a core and a node,
-/// 1 <= num_cores() <= num_cpus().
-///
-/// All sizing decisions in the tree route through this module (enforced
-/// culturally, plus tools/check_source.py bans raw std::thread
-/// construction outside src/util/): thread pools default to
-/// DefaultThreadCount(), and pinned pools spread workers over `cpus` in
-/// topology order.
-struct Topology {
-  struct Cpu {
-    int id = 0;    ///< logical cpu index (the sched_setaffinity id)
-    int core = 0;  ///< physical core id; SMT siblings share it
-    int node = 0;  ///< NUMA node id
-  };
-
-  /// Online cpus in id order. Never empty after Detect()/Flat().
-  std::vector<Cpu> cpus;
-
-  size_t num_cpus() const { return cpus.size(); }
-  /// Distinct physical cores (distinct (node, core) pairs).
-  size_t num_cores() const;
-  /// Distinct NUMA nodes (1 on single-socket or fallback topologies).
-  size_t num_nodes() const;
-  /// True when logical cpus outnumber physical cores (SMT active).
-  bool smt() const { return num_cpus() > num_cores(); }
-
-  /// Logical cpu ids on `node`, in topology order (empty if unknown).
-  std::vector<int> CpusOfNode(int node) const;
-
-  /// A synthesized topology: n cpus (0-guarded to 1), one core each, all
-  /// on node 0. The universal fallback.
-  static Topology Flat(size_t n);
-
-  /// Reads /sys/devices/system/{node,cpu} on Linux; Flat fallback
-  /// everywhere else or on any parse failure.
-  static Topology Detect();
-
-  /// Detect() once, cached for the process lifetime.
-  static const Topology& System();
-};
-
-/// Parses a sysfs cpulist ("0-3,8,10-11") into ascending cpu ids.
-/// Malformed fragments are skipped, never fatal.
-std::vector<int> ParseCpuList(const std::string& text);
-
-/// The project-wide thread-count default: System().num_cpus(), which is
-/// hardware_concurrency with the mandated 0 guard. Never returns 0.
+/// The project-wide thread-count default: hardware_concurrency with the
+/// mandated 0 guard. Never returns 0. Thread pools default to it.
 size_t DefaultThreadCount();
-
-/// Pins the calling thread to logical cpu `cpu`. Returns false when the
-/// platform does not support affinity or the syscall fails (restricted
-/// container, offline cpu) — pinning is always best-effort, never fatal.
-bool PinCurrentThreadToCpu(int cpu);
 
 /// The project-wide chokepoint for raw thread construction
 /// (tools/check_source.py bans `std::thread(...)` outside src/util/):

@@ -399,14 +399,15 @@ TEST(QWorkerEmbedCacheTest, RepeatedTemplatesHitTheCache) {
   worker.Process(Query("SELECT a FROM t WHERE x = 343"));
   EXPECT_EQ(embedder->calls.load() - calls_before, 1);
 
-  EmbedCacheStats stats = worker.embed_cache_stats();
+  ASSERT_NE(worker.embed_cache(), nullptr);
+  EmbedCacheStats stats = worker.embed_cache()->Stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.size, 1u);
 
   // A different template misses again.
   worker.Process(Query("DELETE FROM t WHERE x = 1"));
-  EXPECT_EQ(worker.embed_cache_stats().misses, 2u);
+  EXPECT_EQ(worker.embed_cache()->Stats().misses, 2u);
 }
 
 TEST(QWorkerEmbedCacheTest, CachedPredictionsMatchUncached) {
@@ -422,7 +423,7 @@ TEST(QWorkerEmbedCacheTest, CachedPredictionsMatchUncached) {
   uncached_options.embed_cache_capacity = 0;
   core::QWorker uncached(uncached_options);
   uncached.Deploy(TrainedClassifier("user", embedder));
-  EXPECT_EQ(uncached.embed_cache_stats().capacity, 0u);
+  EXPECT_EQ(uncached.embed_cache(), nullptr);
 
   const char* queries[] = {"SELECT a FROM t WHERE x = 1",
                            "SELECT a FROM t WHERE x = 7",
@@ -435,32 +436,133 @@ TEST(QWorkerEmbedCacheTest, CachedPredictionsMatchUncached) {
   }
 }
 
-TEST(QWorkerEmbedCacheTest, PoolMergesShardCacheStats) {
-  auto embedder = std::make_shared<CountingEmbedder>();
+core::QWorkerPool::Options RoundRobinPool(size_t shards,
+                                          size_t cache_capacity) {
   core::QWorkerPool::Options options;
   options.application = "pool";
-  options.num_shards = 2;
+  options.num_shards = shards;
   options.partition = core::QWorkerPool::Partition::kRoundRobin;
-  options.worker.embed_cache_capacity = 64;
-  core::QWorkerPool pool(options);
-  pool.Deploy(TrainedClassifier("user", embedder));
+  options.worker.embed_cache_capacity = cache_capacity;
+  return options;
+}
 
-  workload::Workload batch;
-  for (int i = 0; i < 8; ++i) {
-    batch.Add(Query("SELECT a FROM t WHERE x = " + std::to_string(i)));
+TEST(QWorkerEmbedCacheTest, PoolSharesOneCacheAcrossShards) {
+  for (size_t shards : {2u, 4u}) {
+    SCOPED_TRACE(shards);
+    auto embedder = std::make_shared<CountingEmbedder>();
+    core::QWorkerPool pool(RoundRobinPool(shards, 64));
+    pool.Deploy(TrainedClassifier("user", embedder));
+    // One cache object behind every shard, sized per shard.
+    for (size_t s = 0; s < shards; ++s) {
+      ASSERT_NE(pool.shard(s).embed_cache(), nullptr);
+      EXPECT_EQ(pool.shard(s).embed_cache(), pool.shard(0).embed_cache());
+    }
+    EXPECT_EQ(pool.MergedEmbedCacheStats().capacity, shards * 64);
+
+    workload::Workload batch;
+    for (int i = 0; i < 8; ++i) {
+      batch.Add(Query("SELECT a FROM t WHERE x = " + std::to_string(i)));
+    }
+    int calls_before = embedder->calls.load();
+    pool.ProcessBatch(batch);
+
+    // Round-robin spreads the template over every shard, yet it is
+    // embedded once: one miss, the rest hits.
+    EXPECT_EQ(embedder->calls.load() - calls_before, 1);
+    EmbedCacheStats stats = pool.MergedEmbedCacheStats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 7u);
   }
-  pool.ProcessBatch(batch);
 
-  EmbedCacheStats merged = pool.MergedEmbedCacheStats();
-  EXPECT_EQ(merged.lookups(), 8u);
-  // Round-robin spread one template over 2 shards: one miss per shard,
-  // the rest hits.
-  EXPECT_EQ(merged.misses, 2u);
-  EXPECT_EQ(merged.hits, 6u);
-  auto stats = pool.Stats();
-  uint64_t per_shard_lookups = 0;
-  for (const auto& s : stats) per_shard_lookups += s.embed_cache.lookups();
-  EXPECT_EQ(per_shard_lookups, 8u);
+  core::QWorkerPool uncached(RoundRobinPool(4, 0));
+  for (size_t s = 0; s < uncached.num_shards(); ++s) {
+    EXPECT_EQ(uncached.shard(s).embed_cache(), nullptr);
+  }
+  EXPECT_EQ(uncached.MergedEmbedCacheStats().capacity, 0u);
+}
+
+TEST(QWorkerEmbedCacheTest, ShardCountDoesNotChangeMissesOrPredictions) {
+  auto embedder = std::make_shared<CountingEmbedder>();
+  core::QWorkerPool one(RoundRobinPool(1, 64));
+  core::QWorkerPool four(RoundRobinPool(4, 64));
+  core::QWorker::Options uncached_options;
+  uncached_options.application = "uncached";
+  uncached_options.embed_cache_capacity = 0;
+  core::QWorker uncached(uncached_options);
+  auto classifier = TrainedClassifier("user", embedder);
+  one.Deploy(classifier);
+  four.Deploy(classifier);
+  uncached.Deploy(classifier);
+
+  // Three templates, each repeated with different literals.
+  const char* templates[] = {"SELECT a FROM t WHERE x = ",
+                             "SELECT b, c, d FROM u, v WHERE u.k = ",
+                             "DELETE FROM t WHERE x = "};
+  workload::Workload batch;
+  for (int i = 0; i < 24; ++i) {
+    batch.Add(Query(templates[i % 3] + std::to_string(i)));
+  }
+  auto from_one = one.ProcessBatch(batch);
+  auto from_four = four.ProcessBatch(batch);
+  auto from_uncached = uncached.ProcessBatch(batch);
+
+  EXPECT_EQ(one.MergedEmbedCacheStats().misses, 3u);
+  EXPECT_EQ(four.MergedEmbedCacheStats().misses, 3u);
+  ASSERT_EQ(from_one.size(), batch.size());
+  ASSERT_EQ(from_four.size(), batch.size());
+  ASSERT_EQ(from_uncached.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_FALSE(from_uncached[i].predictions.empty()) << i;
+    EXPECT_EQ(from_one[i].predictions, from_uncached[i].predictions) << i;
+    EXPECT_EQ(from_four[i].predictions, from_uncached[i].predictions) << i;
+  }
+}
+
+/// CountingEmbedder whose inference is slow enough that concurrent misses
+/// on one template overlap.
+class SlowCountingEmbedder : public CountingEmbedder {
+ public:
+  nn::Vec Embed(const std::vector<std::string>& words) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return CountingEmbedder::Embed(words);
+  }
+};
+
+TEST(QWorkerEmbedCacheTest, CrossShardStampedeRunsInferenceOnce) {
+  // Several callers fan one new template out over every shard at once:
+  // the shared cache's single-flight slot must coalesce all of them onto
+  // one inference (exercised under TSan in the verify matrix).
+  auto embedder = std::make_shared<SlowCountingEmbedder>();
+  core::QWorkerPool pool(RoundRobinPool(4, 64));
+  pool.Deploy(TrainedClassifier("user", embedder));
+  int calls_before = embedder->calls.load();
+
+  constexpr int kThreads = 4;
+  constexpr int kPerBatch = 4;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      workload::Workload batch;
+      for (int i = 0; i < kPerBatch; ++i) {
+        batch.Add(Query("SELECT z FROM w WHERE y = " +
+                        std::to_string(t * kPerBatch + i)));
+      }
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (const auto& out : pool.ProcessBatch(batch)) {
+        EXPECT_TRUE(out.status.ok());
+        EXPECT_FALSE(out.predictions.empty());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(embedder->calls.load() - calls_before, 1);
+  EmbedCacheStats stats = pool.MergedEmbedCacheStats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, static_cast<uint64_t>(kThreads * kPerBatch - 1));
 }
 
 }  // namespace

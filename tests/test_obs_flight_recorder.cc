@@ -383,7 +383,6 @@ TEST(ReconcileTest, ShedCounterMatchesJournal) {
   options.application = "flightrec_shed";
   options.num_shards = 2;
   options.max_in_flight = 4;
-  options.shed_policy = core::QWorkerPool::ShedPolicy::kRejectNew;
   core::QWorkerPool pool(options);
   workload::Workload batch;
   for (int i = 0; i < 10; ++i) {

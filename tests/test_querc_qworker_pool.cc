@@ -217,30 +217,6 @@ TEST(QWorkerPoolTest, SharedExternalThreadPool) {
   EXPECT_EQ(pool.processed_count(), 20u);
 }
 
-TEST(QWorkerPoolTest, PinnedShardsProcessBatchCorrectly) {
-  // pin_shards routes the owned pool's workers onto distinct cpus via
-  // util/topology. Pinning is best-effort (restricted containers may
-  // reject the affinity syscall), so the contract under test is purely
-  // functional: results identical to an unpinned pool.
-  QWorkerPool::Options options;
-  options.application = "appPin";
-  options.num_shards = 2;
-  options.threads = 2;
-  options.pin_shards = true;
-  options.partition = QWorkerPool::Partition::kRoundRobin;
-  QWorkerPool pool(options);
-  pool.Deploy(TrainedUserClassifier());
-  workload::Workload batch;
-  for (int i = 0; i < 30; ++i) {
-    batch.Add(Query(i % 2 == 0 ? "SELECT a FROM t WHERE x = 1"
-                               : "SELECT b, c, d FROM u, v WHERE u.k = v.k"));
-  }
-  auto out = pool.ProcessBatch(batch);
-  ASSERT_EQ(out.size(), 30u);
-  EXPECT_EQ(pool.processed_count(), 30u);
-  for (const auto& processed : out) EXPECT_FALSE(processed.predictions.empty());
-}
-
 TEST(QWorkerPoolTest, TrainingSinkReceivesEveryQuery) {
   QWorkerPool::Options options;
   options.application = "appX";
@@ -412,7 +388,6 @@ TEST_F(QWorkerPoolFaultTest, RejectNewShedsTailDeterministically) {
   options.application = "X";
   options.num_shards = 2;
   options.max_in_flight = 4;
-  options.shed_policy = QWorkerPool::ShedPolicy::kRejectNew;
   QWorkerPool pool(options);
 
   auto results = pool.ProcessBatch(NumberedBatch(10));
@@ -437,46 +412,6 @@ TEST_F(QWorkerPoolFaultTest, RejectNewShedsTailDeterministically) {
   for (const auto& r : results) EXPECT_FALSE(r.shed);
 }
 
-TEST_F(QWorkerPoolFaultTest, DropOldestShedsHead) {
-  QWorkerPool::Options options;
-  options.application = "X";
-  options.num_shards = 2;
-  options.max_in_flight = 3;
-  options.shed_policy = QWorkerPool::ShedPolicy::kDropOldest;
-  QWorkerPool pool(options);
-
-  auto results = pool.ProcessBatch(NumberedBatch(5));
-  ASSERT_EQ(results.size(), 5u);
-  EXPECT_TRUE(results[0].shed);
-  EXPECT_TRUE(results[1].shed);
-  for (size_t i = 2; i < 5; ++i) EXPECT_FALSE(results[i].shed) << i;
-}
-
-TEST_F(QWorkerPoolFaultTest, DropOldestMarkersCarryTheOldestQueries) {
-  // Marker-placement audit (PR 9): a kDropOldest shed marker must sit at
-  // the shed query's ORIGINAL batch position and carry THAT query — not a
-  // reordered survivor. Flags alone can't catch a placement bug, so this
-  // checks the texts.
-  QWorkerPool::Options options;
-  options.application = "X";
-  options.num_shards = 2;
-  options.max_in_flight = 3;
-  options.shed_policy = QWorkerPool::ShedPolicy::kDropOldest;
-  QWorkerPool pool(options);
-
-  auto results = pool.ProcessBatch(NumberedBatch(5));
-  ASSERT_EQ(results.size(), 5u);
-  for (size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(results[i].query.text, "SELECT " + std::to_string(i))
-        << "result " << i << " carries a different query's text";
-    EXPECT_EQ(results[i].shed, i < 2) << i;
-    if (i < 2) {
-      EXPECT_EQ(results[i].status.code(),
-                util::StatusCode::kResourceExhausted);
-    }
-  }
-}
-
 TEST_F(QWorkerPoolFaultTest, AdmissionMidBatchShedMarkersStayInPlace) {
   // With the tenant controller on, sheds land mid-batch (one tenant's
   // quota tail interleaves another's admitted head). Every position must
@@ -484,7 +419,6 @@ TEST_F(QWorkerPoolFaultTest, AdmissionMidBatchShedMarkersStayInPlace) {
   QWorkerPool::Options options;
   options.application = "X";
   options.num_shards = 2;
-  options.shed_policy = QWorkerPool::ShedPolicy::kDropOldest;
   options.enable_tenant_admission = true;
   options.admission.default_quota.burst = 1.0;  // one query per tenant
   QWorkerPool pool(options);
@@ -506,15 +440,14 @@ TEST_F(QWorkerPoolFaultTest, AdmissionMidBatchShedMarkersStayInPlace) {
 }
 
 TEST_F(QWorkerPoolFaultTest, ConcurrentBatchesNeverMisplaceMarkers) {
-  // Admission + kDropOldest + racing batches: whatever the interleaving
-  // decides to shed (including reason=global when the CAS reservation
-  // loses a race), every result index must hold its own query and nothing
-  // may be silently dropped.
+  // Admission + racing batches: whatever the interleaving decides to shed
+  // (including reason=global when the CAS reservation loses a race), every
+  // result index must hold its own query and nothing may be silently
+  // dropped.
   QWorkerPool::Options options;
   options.application = "X";
   options.num_shards = 2;
   options.max_in_flight = 3;
-  options.shed_policy = QWorkerPool::ShedPolicy::kDropOldest;
   options.enable_tenant_admission = true;
   options.admission.default_quota.burst = 4.0;
   options.admission.default_quota.rate_per_sec = 1e6;

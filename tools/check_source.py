@@ -10,9 +10,9 @@ Enforces the concurrency conventions that the compiler cannot:
                   must use util::Mutex / util::MutexLock / util::CondVar
                   so every lock is annotated and rank-checked.
   raw-thread      constructing a std::thread is banned outside src/util/ —
-                  threads must come from util::SpawnThread (named, best-
-                  effort pinnable) or util::ThreadPool (laned, telemetered)
-                  so no worker bypasses the topology layer. Declaring an
+                  threads must come from util::SpawnThread (named) or
+                  util::ThreadPool (laned, telemetered) so no worker
+                  bypasses the util/ layer. Declaring an
                   empty handle (std::thread t;) or a member stays legal:
                   only construction with a body is flagged.
   detached-thread std::thread::detach() is banned everywhere: a detached

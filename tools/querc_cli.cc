@@ -105,9 +105,9 @@ int Fail(const util::Status& status) {
 }
 
 /// Shared sizing flags (DESIGN.md §17). `--shards` defaults to one
-/// QWorker shard per cpu via the topology module, capped per command so
-/// demo output stays readable; `--threads` sizes the pool's workers
-/// (0 = the pool decides from the same topology).
+/// QWorker shard per cpu (util::DefaultThreadCount()), capped per command
+/// so demo output stays readable; `--threads` sizes the pool's workers
+/// (0 = the pool decides from the same cpu count).
 size_t ShardsFlag(const Args& args, size_t cap) {
   int v = args.GetInt("shards", 0);
   if (v > 0) return static_cast<size_t>(v);
@@ -439,7 +439,7 @@ bool PrintEmbedCacheLine(const core::QWorkerPool& pool) {
   embed::EmbedCacheStats cache = pool.MergedEmbedCacheStats();
   if (cache.capacity == 0) return false;
   std::printf("embed cache: %llu hits / %llu misses (%.1f%% hit ratio), "
-              "%llu evictions, %zu/%zu entries across shards\n",
+              "%llu evictions, %zu/%zu entries\n",
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.misses),
               100.0 * cache.hit_ratio(),
@@ -1113,15 +1113,15 @@ int Usage() {
       "  label      --model m.bin --history h.csv --batch b.csv --task t\n"
       "  pool       --model m.bin --history h.csv --batch b.csv [--task t]\n"
       "             [--shards N] [--threads N] [--partition account|user|rr]\n"
-      "             (shards/threads default to the machine topology)\n"
-      "             [--embed-cache N]   (template cache entries; 0 disables)\n"
+      "             (shards/threads default to the machine's cpu count)\n"
+      "             [--embed-cache N]   (cache entries per shard; 0 disables)\n"
       "             [--max-in-flight N] [--quota BURST[:RATE]]\n"
       "             [--tenant-weight acct=W,...]   (tenant admission)\n"
       "  stats      [--model m.bin --history h.csv --batch b.csv] [--task t]\n"
       "             [--shards N] [--threads N] [--partition account|user|rr]\n"
       "             [--repeat N]\n"
       "             [--format text|prom|json] [--out f] [--report-ms N]\n"
-      "             [--embed-cache N]   (template cache entries; 0 disables)\n"
+      "             [--embed-cache N]   (cache entries per shard; 0 disables)\n"
       "             [--quota BURST[:RATE]] [--tenant-weight acct=W,...]\n"
       "  chaos      [--shards N] [--warmup N] [--faults N] [--recovery N]\n"
       "             [--sink-failure-rate F] [--no-classifier-outage]\n"
