@@ -244,19 +244,21 @@ bool CheckContract(FlightRecorder& rec, size_t threads,
   return ok;
 }
 
-/// Total wall-clock of processing `queries` through a sharded pool, best
-/// of `reps` (pool state — embed cache, deployed classifiers — is shared
-/// and pre-warmed, so on/off runs see identical conditions).
+/// Wall-clock of processing `queries` through a sharded pool (pool state
+/// — embed cache, deployed classifiers — is shared and pre-warmed, so
+/// on/off runs see identical conditions).
 double MeasureWorkloadMs(core::QWorkerPool& pool,
-                         const workload::Workload& wl, size_t queries,
-                         int reps) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    util::Stopwatch watch;
-    for (size_t i = 0; i < queries; ++i) pool.Process(wl[i % wl.size()]);
-    best = std::min(best, watch.ElapsedMillis());
-  }
-  return best;
+                         const workload::Workload& wl, size_t queries) {
+  util::Stopwatch watch;
+  for (size_t i = 0; i < queries; ++i) pool.Process(wl[i % wl.size()]);
+  return watch.ElapsedMillis();
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : (values[mid - 1] + values[mid]) / 2.0;
 }
 
 int Main(int argc, char** argv) {
@@ -339,37 +341,50 @@ int Main(int argc, char** argv) {
   pool.set_training_sink([](const core::ProcessedQuery&) {});
 
   const size_t queries = smoke ? 400 : 2000;
-  const int reps = smoke ? 3 : 7;
   // Warm every cache (embed templates, counters) before timing; drain so
-  // the timed runs start from an empty journal. On/off reps interleave so
-  // machine drift (frequency scaling, page cache) cancels instead of
-  // landing on one side of the ratio.
-  MeasureWorkloadMs(pool, wl, queries, 1);
+  // the timed runs start from an empty journal. Each pair times
+  // recorder-off and recorder-on back to back, which of the two goes
+  // first alternating by pair, so machine drift (frequency scaling, page
+  // cache) cancels instead of landing on one side of the ratio. The gate
+  // reads the median of the per-pair ratios: one preempted run moves one
+  // pair, not the result.
+  const int pairs = 21;
+  MeasureWorkloadMs(pool, wl, queries);
   DrainAll(rec);
-  double off_ms = 1e300;
-  double on_ms = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    rec.set_enabled(false);
-    off_ms = std::min(off_ms, MeasureWorkloadMs(pool, wl, queries, 1));
-    rec.set_enabled(true);
-    on_ms = std::min(on_ms, MeasureWorkloadMs(pool, wl, queries, 1));
+  std::vector<double> off_runs;
+  std::vector<double> on_runs;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < pairs; ++pair) {
+    double off = 0.0;
+    double on = 0.0;
+    for (bool enabled : {pair % 2 == 1, pair % 2 == 0}) {
+      rec.set_enabled(enabled);
+      (enabled ? on : off) = MeasureWorkloadMs(pool, wl, queries);
+    }
     DrainAll(rec);
+    off_runs.push_back(off);
+    on_runs.push_back(on);
+    ratios.push_back(on / std::max(off, 1e-9));
   }
-  double ratio = on_ms / std::max(off_ms, 1e-9);
-  std::printf("  %zu queries: recorder-off %.1f ms, recorder-on %.1f ms "
-              "(ratio %.3f)\n",
-              queries, off_ms, on_ms, ratio);
+  rec.set_enabled(true);
+  double off_ms = Median(off_runs);
+  double on_ms = Median(on_runs);
+  double ratio = Median(ratios);
+  std::printf("  %zu queries, %d interleaved pairs: recorder-off %.1f ms, "
+              "recorder-on %.1f ms (medians; median pair ratio %.3f)\n",
+              queries, pairs, off_ms, on_ms, ratio);
   registry
       .GetGauge("bench_flightrec_workload_ms", {{"recorder", "off"}},
-                "QWorker pipeline wall-clock, recorder disabled, ms")
+                "QWorker pipeline wall-clock, recorder disabled, median "
+                "ms")
       .Set(off_ms);
   registry
       .GetGauge("bench_flightrec_workload_ms", {{"recorder", "on"}}, "")
       .Set(on_ms);
   registry
       .GetGauge("bench_flightrec_overhead_ratio", {},
-                "recorder-on / recorder-off wall-clock on the QWorker "
-                "pipeline workload")
+                "median over interleaved pairs of recorder-on / "
+                "recorder-off wall-clock on the QWorker pipeline workload")
       .Set(ratio);
 
   std::string json = obs::ExportJson(registry, "bench_");
@@ -393,9 +408,9 @@ int Main(int argc, char** argv) {
     }
     if (ratio > 1.05) {
       std::fprintf(stderr,
-                   "FAIL: recorder-on overhead ratio %.3f exceeds the "
-                   "1.05 gate\n",
-                   ratio);
+                   "FAIL: recorder-on overhead ratio %.3f (median of %d "
+                   "pairs) exceeds the 1.05 gate\n",
+                   ratio, pairs);
       return 1;
     }
   }

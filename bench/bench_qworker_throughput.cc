@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "engine/cost_model.h"
@@ -252,6 +254,60 @@ void BM_QWorkerPoolByAccount(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_QWorkerPoolByAccount)->Arg(4)->UseRealTime();
+
+/// The closed-loop shape of perfbench's paper_mix: 64-query batches
+/// sharded by account, with one account per shard and the batch split
+/// 46/6/15/34% across them like the Table 2 tenants. The busiest shard
+/// holds 29 of the 64 queries, so a pool that balanced by shard would
+/// wait on it; every query is a cache hit after the warm-up batches.
+void BM_QWorkerPoolSkewedBatch(benchmark::State& state) {
+  core::QWorkerPool::Options options;
+  options.application = "bench-pool-skew";
+  options.num_shards = static_cast<size_t>(state.range(0));
+  options.partition = core::QWorkerPool::Partition::kByAccount;
+  core::QWorkerPool pool(options);
+  pool.Deploy(SharedUserClassifier());
+
+  // Shares of a 64-query batch; share t goes to an account on shard
+  // t mod num_shards.
+  constexpr size_t kBatch = 64;
+  const size_t shares[] = {29, 4, 10, 21};
+  std::vector<std::string> accounts;
+  for (size_t t = 0; t < std::size(shares); ++t) {
+    workload::LabeledQuery probe;
+    for (size_t k = 0;; ++k) {
+      probe.account = "tenant" + std::to_string(k);
+      if (pool.ShardOf(probe) == t % pool.num_shards()) break;
+    }
+    accounts.push_back(probe.account);
+  }
+  std::vector<size_t> owner;
+  for (size_t t = 0; t < std::size(shares); ++t) {
+    owner.insert(owner.end(), shares[t], t);
+  }
+  // Interleave the tenants through the batch (37 is coprime with 64).
+  std::vector<workload::Workload> batches;
+  const workload::Workload& all = SharedWorkload();
+  for (size_t first = 0; first + kBatch <= all.size(); first += kBatch) {
+    workload::Workload batch;
+    for (size_t k = 0; k < kBatch; ++k) {
+      workload::LabeledQuery q = all[first + k];
+      q.account = accounts[owner[(k * 37) % kBatch]];
+      batch.Add(q);
+    }
+    batches.push_back(std::move(batch));
+  }
+  for (const auto& batch : batches) (void)pool.ProcessBatch(batch);
+
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pool.ProcessBatch(batches[i++ % batches.size()]));
+  }
+  state.counters["queries_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(kBatch),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_QWorkerPoolSkewedBatch)->Arg(4)->UseRealTime();
 
 void BM_KMeansSummarize(benchmark::State& state) {
   const embed::Embedder& embedder = SharedEmbedder(false);

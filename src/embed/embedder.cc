@@ -37,14 +37,18 @@ std::vector<nn::Vec> Embedder::EmbedBatch(
 
 std::vector<std::string> TokenizeForEmbedding(std::string_view text,
                                               sql::Dialect dialect) {
+  return NormalizeForEmbedding(LexForEmbedding(text, dialect));
+}
+
+sql::TokenList LexForEmbedding(std::string_view text, sql::Dialect dialect) {
   sql::LexOptions options;
   options.dialect = dialect;
-  sql::TokenList tokens;
-  {
-    static obs::Histogram& hist = obs::StageHistogram("lex");
-    obs::Span span(&hist, "lex");
-    tokens = sql::LexLenient(text, options);
-  }
+  static obs::Histogram& hist = obs::StageHistogram("lex");
+  obs::Span span(&hist, "lex");
+  return sql::LexLenient(text, options);
+}
+
+std::vector<std::string> NormalizeForEmbedding(const sql::TokenList& tokens) {
   static obs::Histogram& hist = obs::StageHistogram("normalize");
   obs::Span span(&hist, "normalize");
   return sql::Normalize(tokens);

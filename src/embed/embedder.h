@@ -7,6 +7,7 @@
 
 #include "nn/tensor.h"
 #include "sql/dialect.h"
+#include "sql/token.h"
 #include "util/lane.h"
 #include "util/status.h"
 #include "workload/workload.h"
@@ -19,9 +20,18 @@ namespace querc::embed {
 
 /// Tokenizes `text` for the embedding pipeline: lenient lexing under
 /// `dialect` followed by the default normalization (literals folded,
-/// identifiers lower-cased).
+/// identifiers lower-cased). The same as
+/// NormalizeForEmbedding(LexForEmbedding(text, dialect)).
 std::vector<std::string> TokenizeForEmbedding(std::string_view text,
                                               sql::Dialect dialect);
+
+/// The first half of TokenizeForEmbedding: the lenient lex (stage "lex").
+/// A caller that needs the tokens for more than the embedding (the
+/// QWorker's lint stage) lexes once here.
+sql::TokenList LexForEmbedding(std::string_view text, sql::Dialect dialect);
+
+/// The second half: the default normalization (stage "normalize").
+std::vector<std::string> NormalizeForEmbedding(const sql::TokenList& tokens);
 
 /// The representation-learner half of a Querc classifier (§4): maps query
 /// text to a fixed-length vector. Implementations: Doc2VecEmbedder,

@@ -6,9 +6,11 @@
 #include <optional>
 #include <thread>
 
+#include "embed/embedder.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "util/failpoint.h"
+#include "util/stopwatch.h"
 
 namespace querc::core {
 
@@ -117,9 +119,28 @@ util::ConcurrentAggregator::Options LintAggregatorOptions(size_t cap) {
 obs::Counter& WorkerErrorsCounter() {
   static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
       "querc_worker_errors_total", {},
-      "Queries whose Process call failed outright inside a batch or a "
-      "pool fan-out");
+      "Queries whose Compute or Commit stage failed outright");
   return counter;
+}
+
+/// The per-query error guard, called from the catch handler of `stage`
+/// (Compute or Commit): the query carries nothing but itself and
+/// status = Internal, so one poisoned query cannot lose a batch.
+ProcessedQuery FailedQuery(const workload::LabeledQuery& query,
+                           const char* stage) {
+  std::string message(stage);
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    message += std::string(": ") + e.what();
+  } catch (...) {
+    message += " threw";
+  }
+  WorkerErrorsCounter().Increment();
+  ProcessedQuery out;
+  out.query = query;
+  out.status = util::Status::Internal(std::move(message));
+  return out;
 }
 
 obs::Counter& SinkErrorsCounterSlow(const char* sink) {
@@ -406,14 +427,20 @@ util::Status QWorker::InvokeSink(const char* sink_label,
 }
 
 ProcessedQuery QWorker::Process(const workload::LabeledQuery& query) {
-  // The trace scopes this thread's stage spans (embed/classify inside the
-  // classifiers, lex/normalize inside the embedder, the sinks below) to
-  // this query; all recording is atomic histogram increments — no mutex
-  // is taken for telemetry on this path.
+  // The trace scopes this thread's stage spans (lex/normalize/embed in
+  // Compute, lint, the sinks in Commit) to this query; all recording is
+  // atomic histogram increments — no mutex is taken for telemetry on this
+  // path.
   obs::Trace trace("qworker_process");
-  ProcessedQuery out;
+  return Commit(query, Compute(query));
+}
+
+ComputedQuery QWorker::Compute(const workload::LabeledQuery& query) try {
+  util::Stopwatch timer;
+  ComputedQuery computed;
+  ProcessedQuery& out = computed.out;
   out.query = query;
-  Deadline deadline;
+  Deadline& deadline = computed.deadline;
   if (options_.deadline_ms > 0.0) {
     deadline = Deadline::After(options_.deadline_ms, options_.breaker.clock);
   }
@@ -424,7 +451,17 @@ ProcessedQuery QWorker::Process(const workload::LabeledQuery& query) {
   std::shared_ptr<const BreakerMap> breakers = task_breakers_.load();
   std::shared_ptr<const ClassifierMap> fallbacks = fallbacks_.load();
 
-  // Shared-embedding fast path: tokenize the query once, then embed at
+  // One lex per query, on first use: the embedding words and the lint
+  // stage both read these tokens.
+  std::optional<sql::TokenList> tokens;
+  auto lexed = [&]() -> const sql::TokenList& {
+    if (!tokens.has_value()) {
+      tokens = embed::LexForEmbedding(query.text, query.dialect);
+    }
+    return *tokens;
+  };
+
+  // Shared-embedding fast path: normalize the query once, then embed at
   // most once per *distinct embedder instance* across every deployed task
   // (primaries and fallbacks alike) — instead of each classifier
   // re-running lex + normalize + inference. With the template cache
@@ -439,7 +476,7 @@ ProcessedQuery QWorker::Process(const workload::LabeledQuery& query) {
     auto it = shared_embeddings.find(embedder.instance_id());
     if (it == shared_embeddings.end()) {
       if (!words.has_value()) {
-        words = embed::TokenizeForEmbedding(query.text, query.dialect);
+        words = embed::NormalizeForEmbedding(lexed());
       }
       std::shared_ptr<const nn::Vec> vec;
       if (embed_cache_) {
@@ -516,7 +553,6 @@ ProcessedQuery QWorker::Process(const workload::LabeledQuery& query) {
     out.skipped_tasks.push_back(task);
     ClassifierSkippedCounter().Increment();
   }
-  processed_count_.fetch_add(1, std::memory_order_relaxed);
 
   bool run_lint = options_.enable_lint;
   if (run_lint && !deadline.infinite()) {
@@ -536,7 +572,7 @@ ProcessedQuery QWorker::Process(const workload::LabeledQuery& query) {
     sql::lint::QueryLint lint;
     if (lint_status.ok()) {
       try {
-        lint = lint_engine_.LintQuery(query.text, 0, query.dialect);
+        lint = lint_engine_.LintQuery(query.text, lexed());
       } catch (...) {
         lint_status = util::Status::Internal("lint stage threw");
       }
@@ -544,33 +580,52 @@ ProcessedQuery QWorker::Process(const workload::LabeledQuery& query) {
     if (!lint_status.ok()) {
       LintStageErrorsCounter().Increment();
     } else if (!lint.diagnostics.empty()) {
-      lint_diagnostic_count_.fetch_add(lint.diagnostics.size(),
-                                       std::memory_order_relaxed);
-      for (const sql::lint::Diagnostic& d : lint.diagnostics) {
-        auto it = lint_counters_.find(d.rule_id);
-        if (it != lint_counters_.end()) it->second->Increment();
-      }
-      if (options_.lint_template_cap == 0) {
-        // Tracking disabled: the offender is not recorded, but it is
-        // *counted* as dropped rather than silently vanishing.
+      computed.lint_fingerprint = std::move(lint.fingerprint);
+      out.diagnostics = std::move(lint.diagnostics);
+    }
+  }
+  computed.compute_ms = timer.ElapsedMillis();
+  return computed;
+} catch (...) {
+  ComputedQuery failed;
+  failed.out = FailedQuery(query, "Compute");
+  return failed;
+}
+
+ProcessedQuery QWorker::Commit(const workload::LabeledQuery& query,
+                               ComputedQuery computed) try {
+  ProcessedQuery& out = computed.out;
+  if (!out.status.ok()) return std::move(out);
+  util::Stopwatch timer;
+  const Deadline& deadline = computed.deadline;
+  processed_count_.fetch_add(1, std::memory_order_relaxed);
+
+  if (!out.diagnostics.empty()) {
+    lint_diagnostic_count_.fetch_add(out.diagnostics.size(),
+                                     std::memory_order_relaxed);
+    for (const sql::lint::Diagnostic& d : out.diagnostics) {
+      auto it = lint_counters_.find(d.rule_id);
+      if (it != lint_counters_.end()) it->second->Increment();
+    }
+    if (options_.lint_template_cap == 0) {
+      // Tracking disabled: the offender is not recorded, but it is
+      // *counted* as dropped rather than silently vanishing.
+      lint_templates_dropped_.fetch_add(1, std::memory_order_relaxed);
+      LintTemplatesDroppedCounter().Increment();
+    } else {
+      // Lock-free concurrent aggregation (count = instances, weight =
+      // diagnostics, tag = first offending text). At the cap, a new
+      // template evicts the least-instances entry — a late hot offender
+      // still surfaces — and each displaced template bumps the dropped
+      // counter.
+      auto outcome = lint_templates_.Record(
+          computed.lint_fingerprint, /*count_delta=*/1,
+          /*weight_delta=*/out.diagnostics.size(), query.text);
+      if (outcome == util::ConcurrentAggregator::Outcome::kEvicted ||
+          outcome == util::ConcurrentAggregator::Outcome::kDropped) {
         lint_templates_dropped_.fetch_add(1, std::memory_order_relaxed);
         LintTemplatesDroppedCounter().Increment();
-      } else {
-        // Lock-free concurrent aggregation (count = instances, weight =
-        // diagnostics, tag = first offending text). At the cap, a new
-        // template evicts the least-instances entry — a late hot
-        // offender still surfaces — and each displaced template bumps
-        // the dropped counter.
-        auto outcome = lint_templates_.Record(
-            lint.fingerprint, /*count_delta=*/1,
-            /*weight_delta=*/lint.diagnostics.size(), query.text);
-        if (outcome == util::ConcurrentAggregator::Outcome::kEvicted ||
-            outcome == util::ConcurrentAggregator::Outcome::kDropped) {
-          lint_templates_dropped_.fetch_add(1, std::memory_order_relaxed);
-          LintTemplatesDroppedCounter().Increment();
-        }
       }
-      out.diagnostics = std::move(lint.diagnostics);
     }
   }
 
@@ -614,11 +669,13 @@ ProcessedQuery QWorker::Process(const workload::LabeledQuery& query) {
                    [&training, &out] { (*training)(out); });
   }
 
-  double ms = trace.ElapsedMs();
+  double ms = computed.compute_ms + timer.ElapsedMillis();
   latency_hist_.Record(ms);
   GlobalProcessHistogram().Record(ms);
   GlobalQueriesCounter().Increment();
-  return out;
+  return std::move(out);
+} catch (...) {
+  return FailedQuery(query, "Commit");
 }
 
 std::vector<LintTemplateStats> QWorker::TopOffendingTemplates(
@@ -640,28 +697,11 @@ std::vector<LintTemplateStats> QWorker::TopOffendingTemplates(
   return templates;
 }
 
-ProcessedQuery QWorker::ProcessGuarded(const workload::LabeledQuery& query) {
-  auto failed = [&query](std::string message) {
-    WorkerErrorsCounter().Increment();
-    ProcessedQuery out;
-    out.query = query;
-    out.status = util::Status::Internal(std::move(message));
-    return out;
-  };
-  try {
-    return Process(query);
-  } catch (const std::exception& e) {
-    return failed(std::string("Process: ") + e.what());
-  } catch (...) {
-    return failed("Process threw");
-  }
-}
-
 std::vector<ProcessedQuery> QWorker::ProcessBatch(
     const workload::Workload& batch) {
   std::vector<ProcessedQuery> out;
   out.reserve(batch.size());
-  for (const auto& q : batch) out.push_back(ProcessGuarded(q));
+  for (const auto& q : batch) out.push_back(Process(q));
   return out;
 }
 

@@ -67,6 +67,23 @@ struct ProcessedQuery {
   }
 };
 
+/// One query after QWorker::Compute, waiting for QWorker::Commit: the
+/// result so far plus what the commit stage needs from the compute stage.
+struct ComputedQuery {
+  /// Predictions, diagnostics and degraded/skipped tasks. A non-OK
+  /// `out.status` means Compute failed; Commit passes such a query
+  /// through untouched.
+  ProcessedQuery out;
+  /// Stamped when Compute starts; the sinks in Commit run under it.
+  Deadline deadline;
+  /// Wall time Compute took. Commit adds its own time to it, so the
+  /// service-time record leaves out any wait between the stages.
+  double compute_ms = 0.0;
+  /// The query's normalized template when lint found diagnostics (the
+  /// offender tracker's key); empty otherwise.
+  std::string lint_fingerprint;
+};
+
 /// Aggregated lint outcome for one normalized query template, tracked per
 /// worker so the pool can surface the worst offenders per shard.
 struct LintTemplateStats {
@@ -120,8 +137,9 @@ class QWorker {
     /// forwarded to the database — Querc stays off the critical path.
     bool forward_to_database = true;
     /// Run the static-analysis lint stage on every query (per-rule hit
-    /// counters + querc_stage_ms{stage=lint}). Cheap: one lenient lex +
-    /// token scans, no allocation on clean queries beyond the token list.
+    /// counters + querc_stage_ms{stage=lint}). Cheap: token scans over
+    /// the tokens the embedding stage lexed (each query is lexed once),
+    /// no allocation on clean queries.
     bool enable_lint = true;
     /// Offending templates tracked per worker (bounds lint memory). When
     /// the cap is reached a *new* template evicts the least-instances
@@ -213,21 +231,34 @@ class QWorker {
   void set_database_sink(DatabaseSink sink);
   void set_training_sink(TrainingSink sink);
 
-  /// Processes one arriving query through every deployed classifier.
-  /// Thread-safe; may race with deployments (see class comment). Never
-  /// throws for sink/classifier/deadline faults — those are reported in
-  /// the returned ProcessedQuery and in counters.
+  /// Processes one arriving query through every deployed classifier:
+  /// Commit(query, Compute(query)). Thread-safe; may race with
+  /// deployments (see class comment). Never throws: sink, classifier and
+  /// deadline faults are reported in the returned ProcessedQuery and in
+  /// counters, and any other exception becomes status = Internal on it
+  /// (querc_worker_errors_total), so one poisoned query cannot lose the
+  /// rest of a batch.
   ProcessedQuery Process(const workload::LabeledQuery& query);
 
-  /// Process behind the per-query error guard: an exception that still
-  /// escapes Process becomes status = Internal on the returned query
-  /// (querc_worker_errors_total). Batch loops — ProcessBatch and the
-  /// pool's shard fan-out — run every query through it, so one poisoned
-  /// query cannot lose the rest.
-  ProcessedQuery ProcessGuarded(const workload::LabeledQuery& query);
+  /// The stateless half of Process, safe to run for many queries of this
+  /// worker at once and in any order: stamps the deadline, loads the
+  /// classifier, fallback and breaker snapshots, lexes once, embeds
+  /// through the embedding cache, classifies down the breaker → fallback
+  /// ladder, and lints (standing down under deadline pressure). Never
+  /// throws (see Process).
+  ComputedQuery Compute(const workload::LabeledQuery& query);
 
-  /// Processes a batch ("query(X, t)" in the paper's notation), each
-  /// query through ProcessGuarded.
+  /// The ordered half: pushes the query into the window, forwards it to
+  /// the database and training sinks under the deadline Compute stamped,
+  /// and records its counters and service time (compute + commit). The
+  /// window and the sinks see queries in the order they are committed,
+  /// so a worker's queries are committed in arrival order. Never throws
+  /// (see Process).
+  ProcessedQuery Commit(const workload::LabeledQuery& query,
+                        ComputedQuery computed);
+
+  /// Processes a batch ("query(X, t)" in the paper's notation), one query
+  /// after another.
   std::vector<ProcessedQuery> ProcessBatch(const workload::Workload& batch);
 
   /// A snapshot copy of the bounded window of most recent queries seen.

@@ -202,6 +202,7 @@ ProcessedQuery QWorkerPool::MakeShed(const workload::LabeledQuery& query) {
 }
 
 ProcessedQuery QWorkerPool::Process(const workload::LabeledQuery& query) {
+  // QWorker::Process never throws, so the slots always come back.
   if (admission_) {
     AdmitDecision decision = admission_->AdmitOne(query);
     if (!decision.admitted) return MakeShedMarker(query);
@@ -209,26 +210,13 @@ ProcessedQuery QWorkerPool::Process(const workload::LabeledQuery& query) {
       admission_->OnGlobalShed(query.account);
       return MakeShedMarker(query);
     }
-    ProcessedQuery out;
-    try {
-      out = shards_[ShardOf(query)]->Process(query);
-    } catch (...) {
-      ReleaseSlots(1);
-      admission_->Release(query.account);
-      throw;
-    }
+    ProcessedQuery out = shards_[ShardOf(query)]->Process(query);
     ReleaseSlots(1);
     admission_->Release(query.account);
     return out;
   }
   if (TryAcquireSlots(1) == 0) return MakeShed(query);
-  ProcessedQuery out;
-  try {
-    out = shards_[ShardOf(query)]->Process(query);
-  } catch (...) {
-    ReleaseSlots(1);
-    throw;
-  }
+  ProcessedQuery out = shards_[ShardOf(query)]->Process(query);
   ReleaseSlots(1);
   return out;
 }
@@ -238,7 +226,7 @@ std::vector<ProcessedQuery> QWorkerPool::ProcessBatch(
   std::vector<ProcessedQuery> out(batch.size());
   if (batch.empty()) return out;
   // The batch trace owns the trace id (unless an outer trace is already
-  // active); the fan-out shards below adopt it via ParallelFor, so every
+  // active); both stages below adopt it via ParallelFor, so every
   // worker-thread span lands in this one cross-thread trace.
   obs::Trace trace("pool_process_batch");
   util::Stopwatch timer;
@@ -288,8 +276,7 @@ std::vector<ProcessedQuery> QWorkerPool::ProcessBatch(
     return out;
   }
   // Partition the admitted queries so each shard's sub-stream keeps its
-  // arrival order (windowed tasks depend on per-shard ordering), then one
-  // parallel task per non-empty shard.
+  // arrival order (windowed tasks depend on per-shard ordering).
   std::vector<std::vector<size_t>> by_shard(shards_.size());
   {
     static obs::Histogram& hist = obs::StageHistogram("pool_partition");
@@ -298,41 +285,72 @@ std::vector<ProcessedQuery> QWorkerPool::ProcessBatch(
       by_shard[ShardOf(batch[i])].push_back(i);
     }
   }
-  std::vector<size_t> live;
+  // Neither a failed shard task nor a poisoned query may lose queries:
+  // a live shard whose task fails (the pool.fan_out failpoint) gives each
+  // of its queries the task's status before any of them is computed, the
+  // per-query guards inside Compute and Commit catch the rest, and the
+  // other shards are unaffected. The surviving shards' queries, in shard
+  // then arrival order, are the work of both stages below.
+  struct Work {
+    size_t shard;
+    size_t index;  // into `batch`
+  };
+  std::vector<Work> work;
+  work.reserve(admitted_idx.size());
+  std::vector<size_t> shard_begin;  // each committing shard's first item
   for (size_t s = 0; s < by_shard.size(); ++s) {
-    if (!by_shard[s].empty()) live.push_back(s);
-  }
-  // Predict traffic rides the interactive lane so a concurrent training
-  // or advisor flood on the batch lane cannot queue ahead of it. When the
-  // shards run under a per-Process deadline, the fan-out tasks carry the
-  // same deadline so a task stuck behind higher lanes escalates instead
-  // of burning its whole budget queued.
-  util::ThreadPool::TaskOptions fan_out_opts;
-  fan_out_opts.lane = util::Lane::kInteractive;
-  if (options_.worker.deadline_ms > 0.0) {
-    fan_out_opts.deadline_us =
-        pool_->NowUs() +
-        static_cast<int64_t>(options_.worker.deadline_ms * 1000.0);
-  }
-  pool_->ParallelFor(fan_out_opts, live.size(), [&](size_t t) {
-    static obs::Histogram& fan_hist = obs::StageHistogram("pool_fan_out");
-    obs::Span fan_span(&fan_hist, "pool_fan_out");
-    size_t s = live[t];
-    QWorker& shard = *shards_[s];
-    // Neither a failed shard task nor a poisoned query may lose queries:
-    // every index gets a status (the task's, or the per-query guard's),
-    // and the other shards' tasks are unaffected.
+    if (by_shard[s].empty()) continue;
     util::Status task_status = util::MaybeFail("pool.fan_out");
-    if (task_status.ok()) {
-      for (size_t i : by_shard[s]) out[i] = shard.ProcessGuarded(batch[i]);
-    } else {
+    if (!task_status.ok()) {
       FanOutErrorsCounter().Increment();
       for (size_t i : by_shard[s]) {
         out[i].query = batch[i];
         out[i].status = task_status;
       }
+      continue;
     }
-  });
+    shard_begin.push_back(work.size());
+    for (size_t i : by_shard[s]) work.push_back({s, i});
+  }
+  shard_begin.push_back(work.size());
+  if (work.size() == 1) {
+    // A lone query runs inline: two stage barriers would only add wait.
+    out[work[0].index] = shards_[work[0].shard]->Process(batch[work[0].index]);
+  } else if (!work.empty()) {
+    // Predict traffic rides the interactive lane so a concurrent training
+    // or advisor flood on the batch lane cannot queue ahead of it. When
+    // the shards run under a per-Process deadline, both stages carry the
+    // same deadline so a task stuck behind higher lanes escalates instead
+    // of burning its whole budget queued.
+    util::ThreadPool::TaskOptions stage_opts;
+    stage_opts.lane = util::Lane::kInteractive;
+    if (options_.worker.deadline_ms > 0.0) {
+      stage_opts.deadline_us =
+          pool_->NowUs() +
+          static_cast<int64_t>(options_.worker.deadline_ms * 1000.0);
+    }
+    // Compute stage: one item per query, pulled from the batch's shared
+    // counter by every thread, the caller first. It touches only
+    // per-query state and thread-safe shared state (snapshots, the
+    // embedding cache, counters), so a shard holding most of the batch
+    // no longer sets its length.
+    std::vector<ComputedQuery> computed(work.size());
+    pool_->ParallelFor(stage_opts, work.size(), [&](size_t k) {
+      obs::Trace trace("qworker_compute");
+      computed[k] = shards_[work[k].shard]->Compute(batch[work[k].index]);
+    });
+    // Commit stage: one task per shard, committing its queries in arrival
+    // order (the window and the sinks see each shard's sub-stream as it
+    // arrived).
+    pool_->ParallelFor(stage_opts, shard_begin.size() - 1, [&](size_t t) {
+      for (size_t k = shard_begin[t]; k < shard_begin[t + 1]; ++k) {
+        obs::Trace trace("qworker_commit");
+        size_t i = work[k].index;
+        out[i] = shards_[work[k].shard]->Commit(batch[i],
+                                                std::move(computed[k]));
+      }
+    });
+  }
   ReleaseSlots(admitted_idx.size());
   if (admission_) {
     // Per-tenant release, batched per account to keep the controller's

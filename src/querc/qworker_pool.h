@@ -35,8 +35,10 @@ struct ShardStats {
 /// (§2, Figure 1), made concrete. Arriving queries are hashed across N
 /// QWorker shards — by account (default: one tenant's stream stays on one
 /// shard, preserving its bounded window), by user, or round-robin — and
-/// batches fan out over a shared util::ThreadPool with one task per
-/// shard. Deployments apply to every shard; each shard's classifier set
+/// batches run on a shared util::ThreadPool in two stages: every query's
+/// QWorker::Compute, balanced by query across all threads, then one task
+/// per shard that commits its queries in arrival order (DESIGN.md §7).
+/// Deployments apply to every shard; each shard's classifier set
 /// is an immutable snapshot (see QWorker), so Deploy/Undeploy can race
 /// Process/ProcessBatch safely and every query sees a consistent set.
 /// All shards share one embedding cache, so a template is embedded once
@@ -118,9 +120,11 @@ class QWorkerPool {
   /// the classifier read).
   ProcessedQuery Process(const workload::LabeledQuery& query);
 
-  /// Partitions `batch` across shards and processes the per-shard
-  /// sub-batches in parallel on the thread pool (the calling thread
-  /// participates). Results are returned in the original batch order.
+  /// Partitions `batch` across shards, computes every query in parallel
+  /// on the thread pool (the calling thread participates), then commits
+  /// each shard's queries in arrival order, one task per shard. A batch
+  /// with one admitted query runs inline on the caller. Results are
+  /// returned in the original batch order.
   std::vector<ProcessedQuery> ProcessBatch(const workload::Workload& batch);
 
   /// Shard index the partition policy routes `query` to. Deterministic

@@ -71,7 +71,11 @@ QueryLint LintEngine::LintQuery(std::string_view text, size_t query_index,
                                 Dialect dialect) const {
   LexOptions lex_options;
   lex_options.dialect = dialect;
-  TokenList tokens = LexLenient(text, lex_options);
+  return LintQuery(text, LexLenient(text, lex_options), query_index);
+}
+
+QueryLint LintEngine::LintQuery(std::string_view text, const TokenList& tokens,
+                                size_t query_index) const {
   QueryShape shape = Analyze(tokens);
 
   QueryLint result;

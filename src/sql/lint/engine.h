@@ -70,6 +70,11 @@ class LintEngine {
   QueryLint LintQuery(std::string_view text, size_t query_index = 0) const {
     return LintQuery(text, query_index, options_.dialect);
   }
+  /// The same over `tokens`, which the caller already lexed from `text`
+  /// with LexLenient under the query's dialect: a caller that needs the
+  /// tokens anyway (the QWorker's embedding stage) lexes each query once.
+  QueryLint LintQuery(std::string_view text, const TokenList& tokens,
+                      size_t query_index = 0) const;
 
   /// Lints a batch: per-query rules on each text, then workload-level
   /// rules over the template map, then aggregation.

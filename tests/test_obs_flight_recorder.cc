@@ -490,12 +490,16 @@ TEST(PoolIntegrationTest, ProcessBatchTraceSpansMultipleThreads) {
       << "ProcessBatch must complete a pool_process_batch trace";
   // Spans from both shard workers (distinct rings) joined the one trace.
   EXPECT_GE(batch_trace->num_threads(), 2u);
-  size_t process_spans = 0;
+  size_t compute_spans = 0;
+  size_t commit_spans = 0;
   for (const FlightEvent& ev : batch_trace->events) {
-    if (std::strcmp(ev.label, "qworker_process") == 0) ++process_spans;
+    if (std::strcmp(ev.label, "qworker_compute") == 0) ++compute_spans;
+    if (std::strcmp(ev.label, "qworker_commit") == 0) ++commit_spans;
   }
-  EXPECT_EQ(process_spans, 12u)
-      << "every per-query span must fold into the batch trace";
+  EXPECT_EQ(compute_spans, 12u)
+      << "every per-query compute span must fold into the batch trace";
+  EXPECT_EQ(commit_spans, 12u)
+      << "every per-query commit span must fold into the batch trace";
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -623,6 +624,323 @@ TEST_F(QWorkerPoolFaultTest, StatsOnIdlePoolHasNoFakeZeroMin) {
   EXPECT_TRUE(std::isfinite(merged.min));
   EXPECT_GT(merged.min, 0.0);
   EXPECT_DOUBLE_EQ(merged.min, merged.max);
+}
+
+// ---------------------------------------------------------------------------
+// The two-stage batch: a pool-wide compute stage, then an ordered commit
+// per shard.
+// ---------------------------------------------------------------------------
+
+/// FeatureEmbedder that throws on any query touching table `poison`, and
+/// records every word list it embeds (thread-safe) so a test can tell
+/// which queries reached Compute.
+class PoisonEmbedder : public embed::Embedder {
+ public:
+  util::Status Train(const std::vector<std::vector<std::string>>&) override {
+    return util::Status::OK();
+  }
+  nn::Vec Embed(const std::vector<std::string>& words) const override {
+    std::string joined;
+    for (const std::string& w : words) joined += w + " ";
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      embedded_.insert(joined);
+    }
+    if (joined.find(" poison ") != std::string::npos) {
+      throw std::runtime_error("poisoned embedding");
+    }
+    return inner_.Embed(words);
+  }
+  size_t dim() const override { return inner_.dim(); }
+  std::string name() const override { return "poison"; }
+
+  /// True when some embedded word list contains `word`.
+  bool Saw(const std::string& word) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::string& joined : embedded_) {
+      if (joined.find(" " + word + " ") != std::string::npos) return true;
+    }
+    return false;
+  }
+
+ private:
+  embed::FeatureEmbedder inner_{embed::FeatureEmbedder::Options{}};
+  mutable std::mutex mu_;
+  mutable std::set<std::string> embedded_;
+};
+
+std::shared_ptr<Classifier> UserClassifierOn(
+    const std::string& task, std::shared_ptr<const embed::Embedder> embedder) {
+  auto classifier = std::make_shared<Classifier>(
+      task, std::move(embedder),
+      std::make_unique<ml::KnnClassifier>(ml::KnnClassifier::Options{.k = 1}));
+  workload::Workload history;
+  for (int i = 0; i < 10; ++i) {
+    history.Add(Query("SELECT a FROM t WHERE x = 1", "alice"));
+    history.Add(Query("SELECT b, c, d FROM u, v WHERE u.k = v.k", "bob"));
+  }
+  EXPECT_TRUE(classifier->Train(history, workload::UserOf).ok());
+  return classifier;
+}
+
+/// A mixed batch: clean queries, lint offenders, and queries on table
+/// `poison` whose PoisonEmbedder tasks fail in the compute stage.
+workload::Workload MixedBatch(size_t n) {
+  const char* shapes[] = {
+      "SELECT a FROM t WHERE x = ",
+      "SELECT * FROM poison WHERE y = ",
+      "SELECT b, c, d FROM u, v WHERE u.k = v.k AND u.z = ",
+      "SELECT a FROM t WHERE 1 = 1 AND x = ",
+      "SELECT * FROM u, v WHERE u.w > ",
+  };
+  workload::Workload batch;
+  for (size_t i = 0; i < n; ++i) {
+    batch.Add(Query(shapes[(i * 7) % 5] + std::to_string(i),
+                    "u" + std::to_string((i * 3) % 5),
+                    "acct" + std::to_string((i * 5) % 6)));
+  }
+  return batch;
+}
+
+std::string DiagnosticsText(const ProcessedQuery& q) {
+  std::string text;
+  for (const sql::lint::Diagnostic& d : q.diagnostics) {
+    text += d.rule_id + "@" + std::to_string(d.span.offset) + "+" +
+            std::to_string(d.span.length) + ":" +
+            std::to_string(static_cast<int>(d.severity)) + ":" + d.message +
+            "|" + d.fix_hint + ";";
+  }
+  return text;
+}
+
+TEST(QWorkerPoolStagesTest, ShardArrivalOrderSurvivesBothStages) {
+  for (size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    QWorkerPool::Options options;
+    options.application = "order";
+    options.num_shards = shards;
+    options.partition = QWorkerPool::Partition::kByAccount;
+    options.worker.window_size = 256;
+    QWorkerPool pool(options);
+    pool.Deploy(TrainedUserClassifier());
+    std::mutex mu;
+    std::vector<std::string> database_seen;
+    std::vector<std::string> training_seen;
+    pool.set_database_sink([&](const workload::LabeledQuery& q) {
+      std::lock_guard<std::mutex> lock(mu);
+      database_seen.push_back(q.text);
+    });
+    pool.set_training_sink([&](const ProcessedQuery& q) {
+      std::lock_guard<std::mutex> lock(mu);
+      training_seen.push_back(q.query.text);
+    });
+
+    std::vector<std::vector<std::string>> expected(shards);
+    for (int round = 0; round < 3; ++round) {
+      workload::Workload batch;
+      for (int i = 0; i < 40; ++i) {
+        batch.Add(Query(
+            "SELECT a FROM t WHERE x = " + std::to_string(round * 100 + i),
+            "u1", "acct" + std::to_string((i * 7 + round) % 9)));
+      }
+      for (const auto& q : batch) {
+        expected[pool.ShardOf(q)].push_back(q.text);
+      }
+      auto out = pool.ProcessBatch(batch);
+      ASSERT_EQ(out.size(), batch.size());
+      for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_TRUE(out[i].status.ok()) << i;
+        EXPECT_EQ(out[i].query.text, batch[i].text) << i;
+      }
+    }
+
+    // Each shard's sub-stream, in input order, in both sinks and the
+    // shard's window. The sinks interleave shards, so filter per shard.
+    auto shard_of_text = [&](const std::string& text) {
+      for (size_t s = 0; s < shards; ++s) {
+        for (const std::string& t : expected[s]) {
+          if (t == text) return s;
+        }
+      }
+      return shards;
+    };
+    for (size_t s = 0; s < shards; ++s) {
+      std::vector<std::string> database_sub;
+      std::vector<std::string> training_sub;
+      for (const std::string& t : database_seen) {
+        if (shard_of_text(t) == s) database_sub.push_back(t);
+      }
+      for (const std::string& t : training_seen) {
+        if (shard_of_text(t) == s) training_sub.push_back(t);
+      }
+      EXPECT_EQ(database_sub, expected[s]) << "database sink, shard " << s;
+      EXPECT_EQ(training_sub, expected[s]) << "training sink, shard " << s;
+      std::vector<std::string> window;
+      for (const auto& q : pool.shard(s).window()) window.push_back(q.text);
+      EXPECT_EQ(window, expected[s]) << "window, shard " << s;
+    }
+    EXPECT_EQ(database_seen.size(), 120u);
+    EXPECT_EQ(training_seen.size(), 120u);
+  }
+}
+
+TEST(QWorkerPoolStagesTest, BatchMatchesPerQueryProcess) {
+  auto poison = std::make_shared<PoisonEmbedder>();
+  auto user = TrainedUserClassifier();
+  // "flaky" fails on poison queries and degrades to its fallback;
+  // "fragile" fails on them with no fallback and is skipped.
+  auto flaky = UserClassifierOn("flaky", poison);
+  auto flaky_fallback = UserClassifierOn(
+      "flaky", std::make_shared<embed::FeatureEmbedder>(
+                   embed::FeatureEmbedder::Options{}));
+  auto fragile = UserClassifierOn("fragile", poison);
+  auto deploy = [&](auto& target) {
+    target.DeployAll({user, flaky, fragile});
+    target.DeployFallback(flaky_fallback);
+  };
+
+  // Breakers off: a breaker's state depends on which queries its shard
+  // saw, which would make the reference differ by partition.
+  QWorker::Options worker;
+  worker.application = "reference";
+  worker.enable_breakers = false;
+  QWorker reference(worker);
+  deploy(reference);
+  workload::Workload batch = MixedBatch(48);
+  std::vector<ProcessedQuery> expected;
+  for (const auto& q : batch) expected.push_back(reference.Process(q));
+  size_t degraded = 0;
+  size_t diagnosed = 0;
+  for (const auto& e : expected) {
+    degraded += e.degraded_tasks.empty() ? 0 : 1;
+    diagnosed += e.diagnostics.empty() ? 0 : 1;
+  }
+  ASSERT_GT(degraded, 0u);
+  ASSERT_GT(diagnosed, 0u);
+
+  for (auto partition :
+       {QWorkerPool::Partition::kByAccount, QWorkerPool::Partition::kByUser,
+        QWorkerPool::Partition::kRoundRobin}) {
+    for (size_t shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE("partition=" + std::to_string(static_cast<int>(partition)) +
+                   " shards=" + std::to_string(shards));
+      QWorkerPool::Options options;
+      options.application = "stages";
+      options.num_shards = shards;
+      options.partition = partition;
+      options.worker = worker;
+      QWorkerPool pool(options);
+      deploy(pool);
+      auto out = pool.ProcessBatch(batch);
+      ASSERT_EQ(out.size(), expected.size());
+      for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_TRUE(out[i].status.ok()) << i;
+        EXPECT_EQ(out[i].query.text, expected[i].query.text) << i;
+        EXPECT_EQ(out[i].predictions, expected[i].predictions) << i;
+        EXPECT_EQ(DiagnosticsText(out[i]), DiagnosticsText(expected[i])) << i;
+        EXPECT_EQ(out[i].degraded_tasks, expected[i].degraded_tasks) << i;
+        EXPECT_EQ(out[i].skipped_tasks, expected[i].skipped_tasks) << i;
+        EXPECT_EQ(out[i].deadline_exceeded, expected[i].deadline_exceeded);
+      }
+      EXPECT_EQ(pool.processed_count(), batch.size());
+    }
+  }
+}
+
+TEST_F(QWorkerPoolFaultTest, FanOutFailureKeepsShardOutOfCompute) {
+  QWorkerPool::Options options;
+  options.application = "X";
+  options.num_shards = 4;
+  options.partition = QWorkerPool::Partition::kByAccount;
+  options.worker.embed_cache_capacity = 0;  // every query reaches Embed
+  QWorkerPool pool(options);
+  auto embedder = std::make_shared<PoisonEmbedder>();
+  pool.Deploy(UserClassifierOn("user", embedder));
+
+  // Distinct columns, so each query's embedded words name it.
+  workload::Workload batch;
+  for (size_t i = 0; i < 24; ++i) {
+    batch.Add(Query("SELECT c" + std::to_string(i) + " FROM t", "u1",
+                    "acct" + std::to_string(i % 8)));
+  }
+  std::vector<size_t> shard_of;
+  std::set<size_t> live;
+  for (const auto& q : batch) {
+    shard_of.push_back(pool.ShardOf(q));
+    live.insert(shard_of.back());
+  }
+  ASSERT_GE(live.size(), 2u);
+
+  util::FailpointSpec spec;
+  spec.code = util::StatusCode::kUnavailable;
+  spec.count = 1;
+  util::Failpoints::Global().Arm("pool.fan_out", spec);
+  auto results = pool.ProcessBatch(batch);
+  ASSERT_EQ(results.size(), batch.size());
+
+  // Exactly one shard failed: every one of its queries, and nothing else.
+  std::set<size_t> failed_shards;
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (!results[i].status.ok()) failed_shards.insert(shard_of[i]);
+  }
+  ASSERT_EQ(failed_shards.size(), 1u);
+  size_t failed = *failed_shards.begin();
+  for (size_t i = 0; i < results.size(); ++i) {
+    std::string column = "c" + std::to_string(i);
+    EXPECT_EQ(results[i].query.text, batch[i].text) << i;
+    if (shard_of[i] == failed) {
+      EXPECT_EQ(results[i].status.code(), util::StatusCode::kUnavailable);
+      EXPECT_TRUE(results[i].predictions.empty()) << i;
+      EXPECT_FALSE(embedder->Saw(column)) << "query " << i << " was computed";
+    } else {
+      EXPECT_TRUE(results[i].status.ok()) << i;
+      EXPECT_EQ(results[i].predictions.count("user"), 1u) << i;
+      EXPECT_TRUE(embedder->Saw(column)) << i;
+    }
+  }
+  EXPECT_EQ(pool.shard(failed).processed_count(), 0u);
+}
+
+TEST_F(QWorkerPoolFaultTest, ThrowingClassifierAffectsOnlyItsQuery) {
+  QWorkerPool::Options options;
+  options.application = "X";
+  options.num_shards = 2;
+  options.partition = QWorkerPool::Partition::kRoundRobin;
+  options.worker.enable_breakers = false;
+  QWorkerPool pool(options);
+  pool.DeployAll({TrainedUserClassifier(),
+                  UserClassifierOn("fragile",
+                                   std::make_shared<PoisonEmbedder>())});
+  std::mutex mu;
+  std::vector<std::string> forwarded;
+  pool.set_database_sink([&](const workload::LabeledQuery& q) {
+    std::lock_guard<std::mutex> lock(mu);
+    forwarded.push_back(q.text);
+  });
+
+  workload::Workload batch;
+  for (size_t i = 0; i < 16; ++i) {
+    batch.Add(Query(i == 5 ? "SELECT a FROM poison WHERE x = 1"
+                           : "SELECT a FROM t WHERE x = " + std::to_string(i)));
+  }
+  auto results = pool.ProcessBatch(batch);
+  ASSERT_EQ(results.size(), batch.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(results[i].status.ok()) << i;
+    EXPECT_TRUE(results[i].database_status.ok()) << i;
+    EXPECT_EQ(results[i].predictions.count("user"), 1u) << i;
+    if (i == 5) {
+      EXPECT_EQ(results[i].skipped_tasks,
+                std::vector<std::string>{"fragile"});
+      EXPECT_EQ(results[i].predictions.count("fragile"), 0u);
+    } else {
+      EXPECT_TRUE(results[i].skipped_tasks.empty()) << i;
+      EXPECT_EQ(results[i].predictions.count("fragile"), 1u) << i;
+    }
+  }
+  // The failed task did not stop its query from being committed.
+  EXPECT_EQ(forwarded.size(), batch.size());
+  EXPECT_EQ(pool.processed_count(), batch.size());
 }
 
 }  // namespace

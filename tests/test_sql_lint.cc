@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "querc/qworker.h"
 #include "querc/qworker_pool.h"
+#include "sql/lexer.h"
 #include "sql/lint/export.h"
 #include "workload/snowflake_gen.h"
 #include "workload/tpch_gen.h"
@@ -385,6 +386,79 @@ TEST(LintSeedWorkloads, SnowflakeHasNoStructuralFalsePositives) {
   }
 }
 
+/// Everything a diagnostic carries, as one comparable string.
+std::string DiagnosticsText(const std::vector<Diagnostic>& diagnostics) {
+  std::string text;
+  for (const Diagnostic& d : diagnostics) {
+    text += d.rule_id + "@" + std::to_string(d.span.offset) + "+" +
+            std::to_string(d.span.length) + ":" +
+            std::string(SeverityName(d.severity)) + ":" + d.message + "|" +
+            d.fix_hint + "#" + std::to_string(d.query_index) + ";";
+  }
+  return text;
+}
+
+/// Seed workloads (TPC-H in the SQL Server dialect, Snowflake in its own)
+/// plus a few offenders from every rule family.
+workload::Workload LintCorpus() {
+  workload::TpchGenerator::Options tpch;
+  tpch.instances_per_template = 2;
+  workload::Workload corpus;
+  for (auto q : workload::TpchGenerator(tpch).Generate()) {
+    q.dialect = Dialect::kSqlServer;
+    corpus.Add(q);
+  }
+  workload::SnowflakeGenerator::Options snowflake;
+  snowflake.accounts = workload::SnowflakeGenerator::UniformAccounts(3, 40, 3);
+  for (auto q : workload::SnowflakeGenerator(snowflake).Generate()) {
+    q.dialect = Dialect::kSnowflake;
+    corpus.Add(q);
+  }
+  for (const char* text :
+       {"SELECT * FROM orders, lineitem", "SELECT a FROM t WHERE 1 = 1",
+        "SELECT a FROM t WHERE YEAR(d) = 1995 OR a = 1 OR a = 2",
+        "SELECT DISTINCT a FROM t GROUP BY a",
+        "SELECT a FROM t WHERE x = 1 AND x = 2"}) {
+    workload::LabeledQuery q;
+    q.text = text;
+    corpus.Add(q);
+  }
+  // Offenders whose tokens depend on the dialect: bracketed identifiers
+  // and `@` markers (SQL Server), `$n` markers (Snowflake).
+  const std::pair<Dialect, const char*> dialect_texts[] = {
+      {Dialect::kSqlServer, "SELECT [order id] FROM [orders], [line item]"},
+      {Dialect::kSqlServer, "SELECT a FROM t WHERE x = @p OR x = @q"},
+      {Dialect::kSnowflake, "SELECT * FROM t WHERE x = $1 OR x = $2"},
+  };
+  for (const auto& [dialect, text] : dialect_texts) {
+    workload::LabeledQuery q;
+    q.text = text;
+    q.dialect = dialect;
+    corpus.Add(q);
+  }
+  return corpus;
+}
+
+TEST(LintEngineTest, TokenOverloadMatchesTextOverload) {
+  LintEngine engine;
+  size_t diagnosed = 0;
+  size_t index = 0;
+  for (const auto& q : LintCorpus()) {
+    LexOptions lex;
+    lex.dialect = q.dialect;
+    QueryLint from_text = engine.LintQuery(q.text, index, q.dialect);
+    QueryLint from_tokens =
+        engine.LintQuery(q.text, LexLenient(q.text, lex), index);
+    EXPECT_EQ(from_tokens.fingerprint, from_text.fingerprint) << q.text;
+    EXPECT_EQ(DiagnosticsText(from_tokens.diagnostics),
+              DiagnosticsText(from_text.diagnostics))
+        << q.text;
+    diagnosed += from_text.diagnostics.empty() ? 0 : 1;
+    ++index;
+  }
+  EXPECT_GT(diagnosed, 5u);
+}
+
 // ---------------------------------------------------------------------------
 // Export formats.
 // ---------------------------------------------------------------------------
@@ -532,6 +606,21 @@ TEST(LintServiceIntegration, QWorkerAttachesDiagnosticsAndCounts) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(LintServiceIntegration, ServedDiagnosticsMatchTextLint) {
+  // The worker lexes each query once for both embedding and lint; its
+  // diagnostics must equal a standalone lint of the text in the query's
+  // dialect.
+  core::QWorker worker({.application = "lint-identity"});
+  for (const auto& q : LintCorpus()) {
+    core::ProcessedQuery out = worker.Process(q);
+    EXPECT_EQ(DiagnosticsText(out.diagnostics),
+              DiagnosticsText(
+                  worker.lint_engine().LintQuery(q.text, 0, q.dialect)
+                      .diagnostics))
+        << q.text;
+  }
 }
 
 TEST(LintServiceIntegration, LintStageCanBeDisabled) {
