@@ -97,10 +97,11 @@ PhaseResult RunPhase(ThreadPool& pool, Lane probe_lane, size_t probes,
   std::vector<double> latency_ms(probes, -1.0);
   std::atomic<size_t> done{0};
   for (size_t i = 0; i < probes; ++i) {
-    int64_t submitted_us = pool.NowUs();
-    pool.Submit(probe_lane, [&pool, &latency_ms, &done, i, submitted_us] {
-      latency_ms[i] =
-          static_cast<double>(pool.NowUs() - submitted_us) / 1000.0;
+    auto submitted = std::chrono::steady_clock::now();
+    pool.Submit(probe_lane, [&latency_ms, &done, i, submitted] {
+      latency_ms[i] = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - submitted)
+                          .count();
       done.fetch_add(1, std::memory_order_acq_rel);
     });
     std::this_thread::sleep_for(std::chrono::microseconds(

@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "obs/trace.h"
 #include "sql/lexer.h"
 #include "sql/normalizer.h"
 #include "util/thread_pool.h"
@@ -23,11 +22,11 @@ Embedder::Embedder(const Embedder&) : instance_id_(NextInstanceId()) {}
 Embedder::Embedder(Embedder&&) noexcept : instance_id_(NextInstanceId()) {}
 
 std::vector<nn::Vec> Embedder::EmbedBatch(
-    const std::vector<std::vector<std::string>>& docs, util::ThreadPool* pool,
-    util::Lane lane) const {
+    const std::vector<std::vector<std::string>>& docs,
+    util::ThreadPool* pool) const {
   std::vector<nn::Vec> vectors(docs.size());
   if (pool != nullptr && docs.size() > 1) {
-    pool->ParallelFor(lane, docs.size(),
+    pool->ParallelFor(util::Lane::kBatch, docs.size(),
                       [&](size_t i) { vectors[i] = Embed(docs[i]); });
   } else {
     for (size_t i = 0; i < docs.size(); ++i) vectors[i] = Embed(docs[i]);
@@ -43,14 +42,10 @@ std::vector<std::string> TokenizeForEmbedding(std::string_view text,
 sql::TokenList LexForEmbedding(std::string_view text, sql::Dialect dialect) {
   sql::LexOptions options;
   options.dialect = dialect;
-  static obs::Histogram& hist = obs::StageHistogram("lex");
-  obs::Span span(&hist, "lex");
   return sql::LexLenient(text, options);
 }
 
 std::vector<std::string> NormalizeForEmbedding(const sql::TokenList& tokens) {
-  static obs::Histogram& hist = obs::StageHistogram("normalize");
-  obs::Span span(&hist, "normalize");
   return sql::Normalize(tokens);
 }
 
@@ -71,8 +66,8 @@ util::Status TrainOnWorkload(Embedder& embedder,
 
 std::vector<nn::Vec> EmbedWorkload(const Embedder& embedder,
                                    const workload::Workload& workload,
-                                   util::ThreadPool* pool, util::Lane lane) {
-  return embedder.EmbedBatch(TokenizeWorkload(workload), pool, lane);
+                                   util::ThreadPool* pool) {
+  return embedder.EmbedBatch(TokenizeWorkload(workload), pool);
 }
 
 }  // namespace querc::embed

@@ -8,7 +8,6 @@
 #include "nn/tensor.h"
 #include "sql/dialect.h"
 #include "sql/token.h"
-#include "util/lane.h"
 #include "util/status.h"
 #include "workload/workload.h"
 
@@ -25,12 +24,13 @@ namespace querc::embed {
 std::vector<std::string> TokenizeForEmbedding(std::string_view text,
                                               sql::Dialect dialect);
 
-/// The first half of TokenizeForEmbedding: the lenient lex (stage "lex").
-/// A caller that needs the tokens for more than the embedding (the
-/// QWorker's lint stage) lexes once here.
+/// The first half of TokenizeForEmbedding: the lenient lex. A caller that
+/// needs the tokens for more than the embedding (the QWorker's lint stage)
+/// lexes once here. Records no stage span: QWorker times the served lex
+/// and normalize, so training-time tokenization stays out of those rows.
 sql::TokenList LexForEmbedding(std::string_view text, sql::Dialect dialect);
 
-/// The second half: the default normalization (stage "normalize").
+/// The second half: the default normalization.
 std::vector<std::string> NormalizeForEmbedding(const sql::TokenList& tokens);
 
 /// The representation-learner half of a Querc classifier (§4): maps query
@@ -70,14 +70,12 @@ class Embedder {
   /// order. The default runs Embed() per doc — in parallel via
   /// `pool->ParallelFor` when `pool` is non-null (Embed is const and
   /// thread-safe in every implementation), serially otherwise. The pool
-  /// tasks ride `lane` — batch by default, since corpus embedding is
-  /// training/advisor churn that must not queue ahead of predict traffic
-  /// on a shared pool. Implementations with a cheaper batch form may
-  /// override.
+  /// tasks ride the batch lane, since corpus embedding is training/advisor
+  /// churn that must not queue ahead of predict traffic on a shared pool.
+  /// Implementations with a cheaper batch form may override.
   virtual std::vector<nn::Vec> EmbedBatch(
       const std::vector<std::vector<std::string>>& docs,
-      util::ThreadPool* pool = nullptr,
-      util::Lane lane = util::Lane::kBatch) const;
+      util::ThreadPool* pool = nullptr) const;
 
   /// Output dimensionality.
   virtual size_t dim() const = 0;
@@ -109,11 +107,10 @@ util::Status TrainOnWorkload(Embedder& embedder,
                              const workload::Workload& corpus);
 
 /// Embeds every query of `workload`; returns one vector per query. With a
-/// non-null `pool`, embedding runs batch-parallel (EmbedBatch) on `lane`.
+/// non-null `pool`, embedding runs batch-parallel (EmbedBatch).
 std::vector<nn::Vec> EmbedWorkload(const Embedder& embedder,
                                    const workload::Workload& workload,
-                                   util::ThreadPool* pool = nullptr,
-                                   util::Lane lane = util::Lane::kBatch);
+                                   util::ThreadPool* pool = nullptr);
 
 }  // namespace querc::embed
 

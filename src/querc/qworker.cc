@@ -456,6 +456,8 @@ ComputedQuery QWorker::Compute(const workload::LabeledQuery& query) try {
   std::optional<sql::TokenList> tokens;
   auto lexed = [&]() -> const sql::TokenList& {
     if (!tokens.has_value()) {
+      static obs::Histogram& hist = obs::StageHistogram("lex");
+      obs::Span span(&hist, "lex");
       tokens = embed::LexForEmbedding(query.text, query.dialect);
     }
     return *tokens;
@@ -476,7 +478,11 @@ ComputedQuery QWorker::Compute(const workload::LabeledQuery& query) try {
     auto it = shared_embeddings.find(embedder.instance_id());
     if (it == shared_embeddings.end()) {
       if (!words.has_value()) {
-        words = embed::NormalizeForEmbedding(lexed());
+        // Lex before opening the normalize span, so neither nests.
+        const sql::TokenList& lexed_tokens = lexed();
+        static obs::Histogram& hist = obs::StageHistogram("normalize");
+        obs::Span span(&hist, "normalize");
+        words = embed::NormalizeForEmbedding(lexed_tokens);
       }
       std::shared_ptr<const nn::Vec> vec;
       if (embed_cache_) {

@@ -318,38 +318,29 @@ std::vector<ProcessedQuery> QWorkerPool::ProcessBatch(
     out[work[0].index] = shards_[work[0].shard]->Process(batch[work[0].index]);
   } else if (!work.empty()) {
     // Predict traffic rides the interactive lane so a concurrent training
-    // or advisor flood on the batch lane cannot queue ahead of it. When
-    // the shards run under a per-Process deadline, both stages carry the
-    // same deadline so a task stuck behind higher lanes escalates instead
-    // of burning its whole budget queued.
-    util::ThreadPool::TaskOptions stage_opts;
-    stage_opts.lane = util::Lane::kInteractive;
-    if (options_.worker.deadline_ms > 0.0) {
-      stage_opts.deadline_us =
-          pool_->NowUs() +
-          static_cast<int64_t>(options_.worker.deadline_ms * 1000.0);
-    }
+    // or advisor flood on the batch lane cannot queue ahead of it.
     // Compute stage: one item per query, pulled from the batch's shared
     // counter by every thread, the caller first. It touches only
     // per-query state and thread-safe shared state (snapshots, the
     // embedding cache, counters), so a shard holding most of the batch
     // no longer sets its length.
     std::vector<ComputedQuery> computed(work.size());
-    pool_->ParallelFor(stage_opts, work.size(), [&](size_t k) {
+    pool_->ParallelFor(util::Lane::kInteractive, work.size(), [&](size_t k) {
       obs::Trace trace("qworker_compute");
       computed[k] = shards_[work[k].shard]->Compute(batch[work[k].index]);
     });
     // Commit stage: one task per shard, committing its queries in arrival
     // order (the window and the sinks see each shard's sub-stream as it
     // arrived).
-    pool_->ParallelFor(stage_opts, shard_begin.size() - 1, [&](size_t t) {
-      for (size_t k = shard_begin[t]; k < shard_begin[t + 1]; ++k) {
-        obs::Trace trace("qworker_commit");
-        size_t i = work[k].index;
-        out[i] = shards_[work[k].shard]->Commit(batch[i],
-                                                std::move(computed[k]));
-      }
-    });
+    pool_->ParallelFor(
+        util::Lane::kInteractive, shard_begin.size() - 1, [&](size_t t) {
+          for (size_t k = shard_begin[t]; k < shard_begin[t + 1]; ++k) {
+            obs::Trace trace("qworker_commit");
+            size_t i = work[k].index;
+            out[i] = shards_[work[k].shard]->Commit(batch[i],
+                                                    std::move(computed[k]));
+          }
+        });
   }
   ReleaseSlots(admitted_idx.size());
   if (admission_) {

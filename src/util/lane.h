@@ -11,12 +11,10 @@ namespace querc::util {
 /// fan-out) always runs before normal work, which runs before batch work
 /// (training, advising, summarization) — except that a bounded number of
 /// consecutive higher-lane dispatches forces one lower-lane dispatch so
-/// batch work cannot starve outright, and a queued task whose deadline is
-/// about to expire escalates past the lane order entirely.
+/// batch work cannot starve outright.
 ///
-/// Kept in its own header (no dependencies) so low-level modules such as
-/// embed::Embedder can take a Lane parameter without pulling in the full
-/// thread-pool machinery.
+/// Kept in its own header (no dependencies) so code that only names a
+/// lane need not pull in the full thread-pool machinery.
 enum class Lane : uint8_t {
   kInteractive = 0,  ///< latency-sensitive predict traffic
   kNormal = 1,       ///< default for unclassified work

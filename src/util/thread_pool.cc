@@ -65,30 +65,9 @@ obs::Counter& LaneTaskCounter(Lane lane) {
   return *counters[LaneIndex(lane)];
 }
 
-obs::Counter& LaneOverflowCounter(Lane lane) {
-  static const std::array<obs::Counter*, kNumLanes> counters = [] {
-    std::array<obs::Counter*, kNumLanes> out{};
-    for (size_t i = 0; i < kNumLanes; ++i) {
-      out[i] = &obs::MetricsRegistry::Global().GetCounter(
-          "querc_threadpool_lane_overflow_total",
-          {{"lane", LaneName(static_cast<Lane>(i))}},
-          "Submits that ran inline on the caller because the lane was full");
-    }
-    return out;
-  }();
-  return *counters[LaneIndex(lane)];
-}
-
-obs::Counter& EscalationCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
-      "querc_threadpool_escalations_total", {},
-      "Dispatches where a near-deadline task jumped the lane order");
-  return counter;
-}
-
-/// Runs a task body with the same accounting a pool worker applies:
-/// timing into the lane's histogram and counter, and the worker's
-/// catch-and-log contract for escaping exceptions.
+/// Runs a task body with the worker's accounting: timing into the lane's
+/// histogram and counter, and the catch-and-log contract for escaping
+/// exceptions.
 void RunTaskBody(const std::function<void()>& fn, Lane lane) {
   auto start = std::chrono::steady_clock::now();
   try {
@@ -159,25 +138,12 @@ struct Batch {
 
 }  // namespace
 
-namespace {
-ThreadPool::Options LegacyOptions(size_t num_threads) {
-  ThreadPool::Options options;
-  options.num_threads = num_threads == 0 ? 1 : num_threads;
-  return options;
-}
-ThreadPool::TaskOptions LaneOnly(Lane lane) {
-  ThreadPool::TaskOptions opts;
-  opts.lane = lane;
-  return opts;
-}
-}  // namespace
-
 ThreadPool::ThreadPool(size_t num_threads)
-    : ThreadPool(LegacyOptions(num_threads)) {}
+    : ThreadPool(Options{num_threads == 0 ? 1 : num_threads}) {}
 
-ThreadPool::ThreadPool(const Options& options) : options_(options) {
-  size_t n = options_.num_threads != 0 ? options_.num_threads
-                                       : DefaultThreadCount();
+ThreadPool::ThreadPool(const Options& options) {
+  size_t n = options.num_threads != 0 ? options.num_threads
+                                      : DefaultThreadCount();
   threads_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     threads_.push_back(SpawnThread("querc-pool", [this] { WorkerLoop(); }));
@@ -193,19 +159,12 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
-int64_t ThreadPool::NowUs() const {
-  if (options_.clock) return options_.clock();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 void ThreadPool::Submit(std::function<void()> task) {
   Submit(TaskOptions{}, std::move(task));
 }
 
 void ThreadPool::Submit(Lane lane, std::function<void()> task) {
-  Submit(LaneOnly(lane), std::move(task));
+  Submit(TaskOptions{lane}, std::move(task));
 }
 
 void ThreadPool::Submit(const TaskOptions& opts, std::function<void()> task) {
@@ -222,38 +181,20 @@ void ThreadPool::Submit(const TaskOptions& opts, std::function<void()> task) {
   QueuedTask queued;
   queued.fn = std::move(task);
   queued.lane = opts.lane;
-  queued.deadline_us = opts.deadline_us;
   SubmitTask(std::move(queued));
 }
 
 void ThreadPool::SubmitTask(QueuedTask task) {
-  Lane lane = task.lane;
-  {
-    MutexLock lock(&mu_);
-    if (options_.lane_capacity == 0 ||
-        queues_[LaneIndex(lane)].size() < options_.lane_capacity) {
-      PushTaskLocked(std::move(task));
-      work_cv_.NotifyOne();
-      return;
-    }
-  }
-  // Lane full: caller-runs backpressure. The submitting thread absorbs
-  // the work instead of the queue growing without bound.
-  LaneOverflowCounter(lane).Increment();
-  RunTaskBody(task.fn, lane);
-}
-
-void ThreadPool::PushTaskLocked(QueuedTask task) {
-  if (task.deadline_us != kNoDeadline) ++deadlined_;
+  MutexLock lock(&mu_);
   // Gauges move in the same critical section as the queue itself, so a
   // concurrent scrape can never see the depth negative or overshot.
   LaneDepthGauge(task.lane).Add(1.0);
   queues_[LaneIndex(task.lane)].push_back(std::move(task));
   ++queued_total_;
+  work_cv_.NotifyOne();
 }
 
 void ThreadPool::PopAccountingLocked(const QueuedTask& task) {
-  if (task.deadline_us != kNoDeadline) --deadlined_;
   LaneDepthGauge(task.lane).Add(-1.0);
   --queued_total_;
 }
@@ -264,35 +205,10 @@ size_t ThreadPool::PickLaneLocked() {
   size_t lowest = kNumLanes - 1;
   while (queues_[lowest].empty()) --lowest;
 
-  size_t pick = highest;
-  // Deadline escalation: the most urgent head task within the window
-  // outranks the lane order. Only lane heads are examined — dispatch
-  // stays O(lanes) — so ordering within one lane remains FIFO.
-  if (deadlined_ > 0) {
-    int64_t now = NowUs();
-    int64_t window = static_cast<int64_t>(options_.escalation_ms * 1000.0);
-    int64_t best_deadline = kNoDeadline;
-    size_t best = kNumLanes;
-    for (size_t lane = 0; lane < kNumLanes; ++lane) {
-      if (queues_[lane].empty()) continue;
-      int64_t d = queues_[lane].front().deadline_us;
-      if (d == kNoDeadline || d - now > window) continue;
-      if (d < best_deadline) {
-        best_deadline = d;
-        best = lane;
-      }
-    }
-    if (best != kNumLanes && best != highest) {
-      EscalationCounter().Increment();
-      pick = best;
-    }
-  }
-  // Starvation bound: after starvation_limit consecutive dispatches that
+  // Starvation bound: after kStarvationLimit consecutive dispatches that
   // bypassed a waiting lower-lane task, force one lowest-lane dispatch.
-  if (pick == highest && highest != lowest &&
-      starve_skips_ >= options_.starvation_limit) {
-    pick = lowest;
-  }
+  size_t pick = highest;
+  if (highest != lowest && starve_skips_ >= kStarvationLimit) pick = lowest;
   if (pick == lowest) {
     starve_skips_ = 0;
   } else {
@@ -320,7 +236,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 
 void ThreadPool::ParallelFor(Lane lane, size_t n,
                              const std::function<void(size_t)>& fn) {
-  ParallelFor(LaneOnly(lane), n, fn);
+  ParallelFor(TaskOptions{lane}, n, fn);
 }
 
 void ThreadPool::ParallelFor(const TaskOptions& opts, size_t n,
@@ -337,7 +253,6 @@ void ThreadPool::ParallelFor(const TaskOptions& opts, size_t n,
       if (batch->RunShard()) batch->NotifyDone();
     };
     task.lane = opts.lane;
-    task.deadline_us = opts.deadline_us;
     task.batch_tag = batch.get();
     task.batch_claimed = &batch->next;
     task.batch_n = n;
@@ -359,10 +274,15 @@ void ThreadPool::ParallelFor(const TaskOptions& opts, size_t n,
   // caller-drained batch leaves the queues exactly as it found them
   // instead of delaying unrelated tasks behind stale closures.
   PurgeBatch(batch.get());
+  // Take the exception out of the batch: a helper may still hold the
+  // last batch reference, and must not free the exception object this
+  // thread is about to rethrow and its caller to handle.
+  std::exception_ptr error;
   {
     MutexLock lock(&batch->mu);
-    if (batch->error) std::rethrow_exception(batch->error);
+    error = std::move(batch->error);
   }
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::PurgeBatch(const void* tag) {

@@ -8,6 +8,7 @@
 
 #include "embed/feature_embedder.h"
 #include "ml/knn.h"
+#include "obs/trace.h"
 #include "querc/classifier.h"
 #include "util/failpoint.h"
 #include "workload/workload.h"
@@ -412,6 +413,40 @@ TEST(QWorkerTest, LatencySnapshotEmptyThenPopulated) {
   EXPECT_GT(one.min, 0.0);
   EXPECT_TRUE(std::isfinite(one.min));
   EXPECT_DOUBLE_EQ(one.min, one.max);
+}
+
+// ---------------------------------------------------------------------------
+// Stage histograms are scoped to serving
+// ---------------------------------------------------------------------------
+
+TEST(QWorkerTest, LexAndNormalizeStagesCountServedQueriesOnly) {
+  obs::Histogram& lex = obs::StageHistogram("lex");
+  obs::Histogram& normalize = obs::StageHistogram("normalize");
+  QWorker::Options options;
+  options.application = "appX";
+  QWorker worker(options);
+  worker.Deploy(TrainedUserClassifier());
+
+  // Training-time tokenization is not served traffic.
+  workload::Workload corpus;
+  for (int i = 0; i < 30; ++i) {
+    corpus.Add(Query("SELECT a FROM t WHERE x = " + std::to_string(i)));
+  }
+  embed::FeatureEmbedder embedder(embed::FeatureEmbedder::Options{});
+  uint64_t lex_before = lex.Snapshot().count;
+  uint64_t normalize_before = normalize.Snapshot().count;
+  ASSERT_TRUE(embed::TrainOnWorkload(embedder, corpus).ok());
+  EXPECT_EQ(lex.Snapshot().count, lex_before);
+  EXPECT_EQ(normalize.Snapshot().count, normalize_before);
+
+  // Each served query lexes and normalizes exactly once, cache hit or
+  // miss, with lint reading the same tokens.
+  constexpr size_t kServed = 12;
+  for (size_t i = 0; i < kServed; ++i) {
+    worker.Process(Query("SELECT a FROM t WHERE x = " + std::to_string(i % 3)));
+  }
+  EXPECT_EQ(lex.Snapshot().count, lex_before + kServed);
+  EXPECT_EQ(normalize.Snapshot().count, normalize_before + kServed);
 }
 
 }  // namespace

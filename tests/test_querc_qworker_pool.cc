@@ -818,31 +818,39 @@ TEST(QWorkerPoolStagesTest, BatchMatchesPerQueryProcess) {
   ASSERT_GT(degraded, 0u);
   ASSERT_GT(diagnosed, 0u);
 
-  for (auto partition :
-       {QWorkerPool::Partition::kByAccount, QWorkerPool::Partition::kByUser,
-        QWorkerPool::Partition::kRoundRobin}) {
-    for (size_t shards : {1u, 2u, 4u}) {
-      SCOPED_TRACE("partition=" + std::to_string(static_cast<int>(partition)) +
-                   " shards=" + std::to_string(shards));
-      QWorkerPool::Options options;
-      options.application = "stages";
-      options.num_shards = shards;
-      options.partition = partition;
-      options.worker = worker;
-      QWorkerPool pool(options);
-      deploy(pool);
-      auto out = pool.ProcessBatch(batch);
-      ASSERT_EQ(out.size(), expected.size());
-      for (size_t i = 0; i < out.size(); ++i) {
-        EXPECT_TRUE(out[i].status.ok()) << i;
-        EXPECT_EQ(out[i].query.text, expected[i].query.text) << i;
-        EXPECT_EQ(out[i].predictions, expected[i].predictions) << i;
-        EXPECT_EQ(DiagnosticsText(out[i]), DiagnosticsText(expected[i])) << i;
-        EXPECT_EQ(out[i].degraded_tasks, expected[i].degraded_tasks) << i;
-        EXPECT_EQ(out[i].skipped_tasks, expected[i].skipped_tasks) << i;
-        EXPECT_EQ(out[i].deadline_exceeded, expected[i].deadline_exceeded);
+  // A 60 s worker deadline cannot expire during the batch, so it must
+  // change nothing: lint still runs and no task is cut short.
+  for (double deadline_ms : {0.0, 60000.0}) {
+    for (auto partition :
+         {QWorkerPool::Partition::kByAccount, QWorkerPool::Partition::kByUser,
+          QWorkerPool::Partition::kRoundRobin}) {
+      for (size_t shards : {1u, 2u, 4u}) {
+        SCOPED_TRACE("deadline_ms=" + std::to_string(deadline_ms) +
+                     " partition=" +
+                     std::to_string(static_cast<int>(partition)) +
+                     " shards=" + std::to_string(shards));
+        QWorkerPool::Options options;
+        options.application = "stages";
+        options.num_shards = shards;
+        options.partition = partition;
+        options.worker = worker;
+        options.worker.deadline_ms = deadline_ms;
+        QWorkerPool pool(options);
+        deploy(pool);
+        auto out = pool.ProcessBatch(batch);
+        ASSERT_EQ(out.size(), expected.size());
+        for (size_t i = 0; i < out.size(); ++i) {
+          EXPECT_TRUE(out[i].status.ok()) << i;
+          EXPECT_EQ(out[i].query.text, expected[i].query.text) << i;
+          EXPECT_EQ(out[i].predictions, expected[i].predictions) << i;
+          EXPECT_EQ(DiagnosticsText(out[i]), DiagnosticsText(expected[i]))
+              << i;
+          EXPECT_EQ(out[i].degraded_tasks, expected[i].degraded_tasks) << i;
+          EXPECT_EQ(out[i].skipped_tasks, expected[i].skipped_tasks) << i;
+          EXPECT_FALSE(out[i].deadline_exceeded) << i;
+        }
+        EXPECT_EQ(pool.processed_count(), batch.size());
       }
-      EXPECT_EQ(pool.processed_count(), batch.size());
     }
   }
 }
